@@ -1,39 +1,38 @@
 //! The fleet engine: one request front door over many co-located models.
 //!
-//! A [`FleetEngine`] owns a packed [`FleetPlacement`] and runs one worker
-//! pool per fabric, mirroring `fpsa_serve::ServeEngine`'s queue discipline
-//! one tier up:
+//! A [`FleetEngine`] is the `fpsa_serve::pool` serving core with one
+//! *routed* unit per fabric of a packed [`FleetPlacement`]:
 //!
 //! * **routing** — a request for model *m* goes to whichever fabric hosting
 //!   *m* has the shortest queue (ties to the lowest index), so replicated
 //!   models absorb load wherever there is room;
 //! * **weighted-fair admission** — each fabric queues requests in a
-//!   [`WeightedFairBatcher`], so tenants share a fabric by configured
-//!   weight instead of racing FIFO;
+//!   [`fpsa_serve::WeightedFairBatcher`] with one lane per tenant, so
+//!   tenants share a fabric by configured weight instead of racing FIFO;
+//!   a claimed batch executes as contiguous same-model runs;
 //! * **bind-handle LRU** — executors are bound lazily per fabric and kept
 //!   in a small LRU cache, so a cold model pays one bind and hot models
 //!   never rebind;
-//! * **per-tenant SLOs** — every tenant gets its own latency histogram;
-//!   when a tenant's observed p99 exceeds its budget and its backlog is
-//!   above the shed threshold, new requests are shed with the typed
-//!   [`ServeError::Shed`] instead of deepening the violation.
+//! * **per-tenant SLOs** — every tenant's latency is recorded per fabric
+//!   and merged on demand; when a tenant's observed p99 exceeds its budget
+//!   and its backlog is above the shed threshold, new requests are shed
+//!   with the typed [`ServeError::Shed`] instead of deepening the
+//!   violation.
 //!
 //! Throughput comes from placement and scheduling only — never from
 //! changed arithmetic: fleet outputs are bit-identical to direct
 //! `Executor::run` calls for every model, precision and interleaving
 //! (`tests/fleet_determinism.rs`).
 
-use std::fmt;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
 
-use fpsa_obs::{Span, SpanId, Tracer};
-use fpsa_serve::{BatchPolicy, Response, ServeError, ServeStats, Ticket, WeightedFairBatcher};
-use fpsa_sim::Executor;
+use fpsa_obs::Tracer;
+use fpsa_serve::pool::{Backend, Pool, Tier};
+use fpsa_serve::{BatchPolicy, ServeError, ServeStats, Ticket};
+use fpsa_sim::{ExecArena, Executor};
 
 use crate::packer::FleetPlacement;
-use crate::registry::{ModelId, ModelRegistry};
+use crate::registry::{FleetModel, ModelId, ModelRegistry};
 
 /// A tenant's service-level objective: shed new work once the observed p99
 /// latency exceeds `p99_budget_us` *and* the tenant's queued backlog is
@@ -59,7 +58,8 @@ pub struct FleetConfig {
     pub batch_window_us: u64,
     /// Bound-executor slots in each fabric's LRU cache (clamped ≥ 1).
     pub bind_cache: usize,
-    /// Weighted-fair shares: `(tenant, weight)`; unlisted tenants weigh 1.
+    /// Weighted-fair shares: `(tenant, weight)`, each weight clamped ≥ 1;
+    /// unlisted tenants weigh 1.
     pub tenant_weights: Vec<(u16, u64)>,
     /// Per-tenant SLO budgets; unlisted tenants are never shed.
     pub slos: Vec<(u16, SloBudget)>,
@@ -173,33 +173,6 @@ impl FleetStats {
     }
 }
 
-/// A queued fleet request (single tenant's lane holds mixed models).
-struct FleetRequest {
-    model: ModelId,
-    input: Vec<f32>,
-    submitted_us: u64,
-    tx: mpsc::Sender<Response>,
-    /// The request's root trace span ([`Span::DISABLED`] when the global
-    /// tracer is off — every later tracing call on it is then a no-op).
-    span: Span,
-    /// The open `queue` child span, closed when a worker claims the batch.
-    queue_span: Span,
-}
-
-/// One fabric's queue behind its mutex.
-struct FabricQueue {
-    queue: WeightedFairBatcher<FleetRequest>,
-    shutdown: bool,
-}
-
-/// One fabric: its queue, wakeup and bind cache (which models it hosts is
-/// the placement's bookkeeping — the router consults `FleetPlacement`).
-struct FabricUnit {
-    state: Mutex<FabricQueue>,
-    work: Condvar,
-    binds: Mutex<BindCache>,
-}
-
 /// A tiny LRU over bound executors: `capacity` live binds per fabric.
 struct BindCache {
     capacity: usize,
@@ -261,77 +234,64 @@ impl BindCache {
     }
 }
 
-/// Bind `model`'s executor from the registry — the cold half of the bind
-/// cache, run without any fabric lock held.
-fn bind_executor(registry: &ModelRegistry, model: ModelId) -> Result<Arc<Executor>, ServeError> {
-    let spec = registry
-        .get(model)
-        .ok_or(ServeError::UnknownModel { model })?;
-    spec.compiled
-        .executor(&spec.graph, &spec.params, &spec.precision)
-        .map(Arc::new)
-        .map_err(ServeError::Exec)
+/// The fleet as a pool backend: the registry, each model's hosting
+/// fabrics, and one bind cache per fabric.
+struct Fleet {
+    registry: ModelRegistry,
+    placement: FleetPlacement,
+    /// `hosts[model]`: the fabrics hosting it (the placement, indexed once).
+    hosts: Vec<Vec<usize>>,
+    binds: Vec<Mutex<BindCache>>,
 }
 
-/// Per-tenant counters behind the stats mutex.
-#[derive(Default)]
-struct TenantState {
-    stats: ServeStats,
-    shed: u64,
-    budget: Option<SloBudget>,
-}
-
-struct StatsState {
-    aggregate: ServeStats,
-    tenants: Vec<TenantState>,
-}
-
-impl StatsState {
-    fn tenant_mut(&mut self, tenant: u16) -> &mut TenantState {
-        let index = usize::from(tenant);
-        while self.tenants.len() <= index {
-            self.tenants.push(TenantState::default());
-        }
-        &mut self.tenants[index]
+impl Fleet {
+    fn spec(&self, model: ModelId) -> Result<&FleetModel, ServeError> {
+        let spec = self.registry.get(model);
+        spec.ok_or(ServeError::UnknownModel { model })
     }
 }
 
-/// Everything the fleet's worker threads share.
-struct Shared {
-    registry: ModelRegistry,
-    fabrics: Vec<FabricUnit>,
-    stats: Mutex<StatsState>,
-    started: Instant,
-    /// Cached global-registry handles (`fleet.submitted` …) plus the
-    /// fleet-specific shed counter.
-    counters: fpsa_serve::EngineCounters,
-    shed_counter: fpsa_obs::Counter,
-}
+impl Backend for Fleet {
+    fn route(&self, model: ModelId) -> Result<(Option<usize>, &[usize]), ServeError> {
+        let spec = self.spec(model)?;
+        Ok((spec.input_len(), &self.hosts[usize::from(model)]))
+    }
 
-impl Shared {
-    /// Microseconds since the fleet started (every queue's clock).
-    fn now_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
+    /// Cache lookup and insert each hold the bind mutex briefly; the bind
+    /// itself runs unlocked, so a slow cold bind never stalls a sibling
+    /// replica's cache hits on the same fabric.
+    fn execute(
+        &self,
+        fabric: usize,
+        model: ModelId,
+        inputs: &[Vec<f32>],
+        arena: &mut ExecArena,
+        outputs: &mut Vec<Vec<f32>>,
+    ) -> Result<(), ServeError> {
+        let binds = &self.binds[fabric];
+        let cached = binds.lock().expect("bind cache lock").lookup(model);
+        let executor = match cached {
+            Some(exec) => exec,
+            None => {
+                let spec = self.spec(model)?;
+                let exec = spec
+                    .compiled
+                    .executor(&spec.graph, &spec.params, &spec.precision);
+                let exec = Arc::new(exec.map_err(ServeError::Exec)?);
+                binds.lock().expect("bind cache lock").insert(model, exec)
+            }
+        };
+        let result = executor.run_batch_into(inputs, arena, outputs);
+        result.map_err(ServeError::Exec)
     }
 }
 
 /// A multi-tenant, multi-model serving engine over a packed fleet of
 /// fabrics (see the module docs).
+#[derive(Debug)]
 pub struct FleetEngine {
-    shared: Arc<Shared>,
-    placement: FleetPlacement,
-    workers: Vec<thread::JoinHandle<()>>,
+    pool: Pool<Fleet>,
     config: FleetConfig,
-}
-
-impl fmt::Debug for FleetEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FleetEngine")
-            .field("fabrics", &self.placement.fabrics())
-            .field("models", &self.shared.registry.len())
-            .field("workers", &self.workers.len())
-            .finish()
-    }
 }
 
 impl FleetEngine {
@@ -345,58 +305,32 @@ impl FleetEngine {
         let config = FleetConfig {
             replicas_per_fabric: config.replicas_per_fabric.max(1),
             max_batch: config.max_batch.max(1),
+            bind_cache: config.bind_cache.max(1),
+            tenant_weights: (config.tenant_weights.iter())
+                .map(|&(tenant, weight)| (tenant, weight.max(1)))
+                .collect(),
             ..config
         };
-        let policy = BatchPolicy::new(config.max_batch, config.batch_window_us);
-        let fabrics = (0..placement.fabrics())
-            .map(|_| {
-                let mut queue = WeightedFairBatcher::new(policy);
-                for &(tenant, weight) in &config.tenant_weights {
-                    queue.set_weight(tenant, weight);
-                }
-                FabricUnit {
-                    state: Mutex::new(FabricQueue {
-                        queue,
-                        shutdown: false,
-                    }),
-                    work: Condvar::new(),
-                    binds: Mutex::new(BindCache::new(config.bind_cache)),
-                }
-            })
-            .collect();
-        let mut stats = StatsState {
-            aggregate: ServeStats::default(),
-            tenants: Vec::new(),
-        };
-        for &(tenant, slo) in &config.slos {
-            stats.tenant_mut(tenant).budget = Some(slo);
-        }
-        let shared = Arc::new(Shared {
+        let fleet = Fleet {
+            hosts: (0..registry.len() as ModelId)
+                .map(|model| placement.hosts_of(model))
+                .collect(),
+            binds: (0..placement.fabrics())
+                .map(|_| Mutex::new(BindCache::new(config.bind_cache)))
+                .collect(),
             registry,
-            fabrics,
-            stats: Mutex::new(stats),
-            started: Instant::now(),
-            counters: fpsa_serve::EngineCounters::for_tier("fleet"),
-            shed_counter: fpsa_obs::Registry::global().counter("fleet.shed"),
-        });
-        let mut workers = Vec::with_capacity(placement.fabrics() * config.replicas_per_fabric);
-        for fabric in 0..placement.fabrics() {
-            for replica in 0..config.replicas_per_fabric {
-                let shared = Arc::clone(&shared);
-                workers.push(
-                    thread::Builder::new()
-                        .name(format!("fpsa-fleet-{fabric}-{replica}"))
-                        .spawn(move || worker_loop(&shared, fabric))
-                        .expect("fleet worker threads spawn"),
-                );
-            }
-        }
-        FleetEngine {
-            shared,
             placement,
-            workers,
-            config,
-        }
+        };
+        let fabrics = fleet.placement.fabrics();
+        let pool = Pool::start(
+            fleet,
+            Tier::Fleet,
+            fabrics,
+            config.replicas_per_fabric,
+            BatchPolicy::new(config.max_batch, config.batch_window_us),
+            &config.tenant_weights,
+        );
+        FleetEngine { pool, config }
     }
 
     /// The (clamped) configuration the fleet runs with.
@@ -406,12 +340,12 @@ impl FleetEngine {
 
     /// The placement the fleet serves.
     pub fn placement(&self) -> &FleetPlacement {
-        &self.placement
+        &self.pool.backend().placement
     }
 
     /// The registry the fleet serves.
     pub fn registry(&self) -> &ModelRegistry {
-        &self.shared.registry
+        &self.pool.backend().registry
     }
 
     /// Enqueue one request for `model` on behalf of `tenant`; never blocks
@@ -419,148 +353,19 @@ impl FleetEngine {
     /// post-shutdown submissions resolve the ticket immediately with the
     /// typed error instead of poisoning a batch.
     pub fn submit(&self, tenant: u16, model: ModelId, input: Vec<f32>) -> Ticket {
-        let Some(spec) = self.shared.registry.get(model) else {
-            return self.reject(tenant, ServeError::UnknownModel { model });
-        };
-        if let Some(want) = spec.input_len() {
-            if input.len() != want {
-                return self.reject(
-                    tenant,
-                    ServeError::InputLength {
-                        got: input.len(),
-                        want,
-                    },
-                );
+        // SLO admission control applies to requests that would otherwise
+        // queue: a tenant past its p99 budget with a deep enough backlog is
+        // shed first.
+        let admissible = self
+            .registry()
+            .get(model)
+            .is_some_and(|spec| spec.input_len().is_none_or(|want| want == input.len()));
+        if admissible {
+            if let Some(err) = self.shed(tenant, model) {
+                return self.pool.reject(tenant, model, err);
             }
         }
-        let hosts = self.placement.hosts_of(model);
-        debug_assert!(!hosts.is_empty(), "packed placement hosts every model");
-
-        // SLO admission control: a tenant past its p99 budget with a deep
-        // enough backlog is shed before it can queue.
-        if let Some((budget, p99)) = self.blown_budget(tenant) {
-            let backlog: usize = hosts
-                .iter()
-                .map(|&f| {
-                    let state = self.shared.fabrics[f].state.lock().expect("fabric lock");
-                    state.queue.tenant_len(tenant)
-                })
-                .sum();
-            if backlog >= budget.shed_depth {
-                let err = ServeError::Shed {
-                    tenant,
-                    p99_us: p99,
-                    budget_us: budget.p99_budget_us,
-                };
-                // The typed-error telemetry hook: mark the decision on the
-                // timeline and persist the flight-recorder postmortem (the
-                // last queue-depth samples and spans before the shed).
-                let tracer = Tracer::global();
-                if tracer.enabled() {
-                    tracer.instant(
-                        "shed",
-                        "fleet",
-                        self.shared.now_us(),
-                        &[("tenant", i64::from(tenant)), ("backlog", backlog as i64)],
-                    );
-                    fpsa_obs::flight_dump_on_error(
-                        "fleet.shed",
-                        &[
-                            ("tenant", i64::from(tenant)),
-                            ("p99_us", p99 as i64),
-                            ("budget_us", budget.p99_budget_us as i64),
-                            ("backlog", backlog as i64),
-                        ],
-                    );
-                }
-                let mut stats = self.shared.stats.lock().expect("stats lock");
-                stats.tenant_mut(tenant).shed += 1;
-                fpsa_obs::Registry::global().inc(self.shared.shed_counter);
-                return Self::count_rejection(&self.shared, &mut stats, tenant, err);
-            }
-        }
-
-        // Route to the hosting fabric with the shortest queue (ties to the
-        // lowest index). The read is a heuristic — racing submitters may
-        // both pick the same fabric — but admission order per fabric is
-        // still serialized by its queue lock.
-        let fabric = hosts
-            .iter()
-            .copied()
-            .min_by_key(|&f| {
-                let state = self.shared.fabrics[f].state.lock().expect("fabric lock");
-                (state.queue.len(), f)
-            })
-            .expect("hosts non-empty");
-
-        // One relaxed load when tracing is off; the routing decision and
-        // the request's queue span open outside the fabric lock.
-        let tracer = Tracer::global();
-        let (span, queue_span) = if tracer.enabled() {
-            let ts = tracer.now_us();
-            let span = tracer.enter_with(
-                "request",
-                "fleet",
-                ts,
-                SpanId::NONE,
-                &[("tenant", i64::from(tenant)), ("model", i64::from(model))],
-            );
-            tracer.record(&span, "fabric", fabric as i64, ts);
-            let queue_span = tracer.enter("queue", "fleet", ts, span.id);
-            (span, queue_span)
-        } else {
-            (Span::DISABLED, Span::DISABLED)
-        };
-        let (tx, ticket) = Ticket::channel();
-        let unit = &self.shared.fabrics[fabric];
-        {
-            let mut state = unit.state.lock().expect("fabric lock");
-            if state.shutdown {
-                drop(state);
-                if !span.id.is_none() {
-                    let ts = tracer.now_us();
-                    tracer.record(&span, "shutdown", 1, ts);
-                    tracer.exit(&queue_span, ts);
-                    tracer.exit(&span, ts);
-                }
-                let mut stats = self.shared.stats.lock().expect("stats lock");
-                return Self::count_rejection(
-                    &self.shared,
-                    &mut stats,
-                    tenant,
-                    ServeError::ShutDown,
-                );
-            }
-            // Stamped under the fabric lock, so each queue's timestamps are
-            // monotone and lanes stay FIFO.
-            let now = self.shared.now_us();
-            state.queue.push(
-                tenant,
-                FleetRequest {
-                    model,
-                    input,
-                    submitted_us: now,
-                    tx,
-                    span,
-                    queue_span,
-                },
-                now,
-            );
-            let depth = state.queue.len();
-            tracer.counter("fleet.queue_depth", "fleet", now, depth as i64);
-            // Counted while the fabric lock is still held: a worker cannot
-            // pop (let alone complete) this request before the lock drops,
-            // so `completed <= submitted` holds in every stats() snapshot.
-            let mut stats = self.shared.stats.lock().expect("stats lock");
-            stats.aggregate.submitted += 1;
-            self.shared.counters.submitted();
-            stats.aggregate.record_queue_depth(depth);
-            let tenant_state = stats.tenant_mut(tenant);
-            tenant_state.stats.submitted += 1;
-            tenant_state.stats.record_queue_depth(depth);
-        }
-        unit.work.notify_one();
-        ticket
+        self.pool.submit(tenant, model, input)
     }
 
     /// Submit one request and block for its output.
@@ -579,22 +384,27 @@ impl FleetEngine {
 
     /// A snapshot of the lifetime counters.
     pub fn stats(&self) -> FleetStats {
-        let state = self.shared.stats.lock().expect("stats lock");
+        let lanes = self.pool.lanes();
+        let budgeted = self.config.slos.iter().map(|&(t, _)| usize::from(t) + 1);
+        let tenants = budgeted.fold(lanes.len(), usize::max);
+        let lane = |t: usize| lanes.get(t).copied().unwrap_or_default();
+        let mut aggregate = ServeStats::default();
+        for lane in &lanes {
+            aggregate.merge(&lane.stats);
+        }
         let mut bind_cache = BindCacheStats::default();
-        for unit in &self.shared.fabrics {
-            let cache = unit.binds.lock().expect("bind cache lock");
+        for cache in &self.pool.backend().binds {
+            let cache = cache.lock().expect("bind cache lock");
             bind_cache.hits += cache.stats.hits;
             bind_cache.misses += cache.stats.misses;
             bind_cache.evictions += cache.stats.evictions;
         }
         FleetStats {
-            aggregate: state.aggregate,
-            tenants: state.tenants.iter().map(|t| t.stats).collect(),
-            sheds: state.tenants.iter().map(|t| t.shed).collect(),
-            budgets: state
-                .tenants
-                .iter()
-                .map(|t| t.budget.map(|b| b.p99_budget_us))
+            aggregate,
+            tenants: (0..tenants).map(|t| lane(t).stats).collect(),
+            sheds: (0..tenants).map(|t| lane(t).shed).collect(),
+            budgets: (0..tenants)
+                .map(|t| self.budget(t).map(|b| b.p99_budget_us))
                 .collect(),
             bind_cache,
         }
@@ -603,56 +413,63 @@ impl FleetEngine {
     /// Stop admitting requests, drain every queue, join the workers and
     /// return the final counters.
     pub fn shutdown(mut self) -> FleetStats {
-        self.shutdown_and_join();
+        self.pool.shutdown();
         self.stats()
     }
 
-    fn shutdown_and_join(&mut self) {
-        for unit in &self.shared.fabrics {
-            let mut state = unit.state.lock().expect("fabric lock");
-            state.shutdown = true;
+    /// `tenant`'s SLO budget (the last one configured wins).
+    fn budget(&self, tenant: usize) -> Option<SloBudget> {
+        let mut slos = self.config.slos.iter().rev();
+        slos.find_map(|&(t, slo)| (usize::from(t) == tenant).then_some(slo))
+    }
+
+    /// The [`ServeError::Shed`] for `tenant`'s next request to `model`, if
+    /// its observed p99 exceeds its budget and its backlog on the hosting
+    /// fabrics has reached the shed depth. Tenants without a budget never
+    /// pay for the check.
+    fn shed(&self, tenant: u16, model: ModelId) -> Option<ServeError> {
+        let budget = self.budget(usize::from(tenant))?;
+        let lanes = self.pool.lanes();
+        let p99 = lanes
+            .get(usize::from(tenant))
+            .map_or(0, |l| l.stats.p99_latency_us());
+        if p99 <= budget.p99_budget_us {
+            return None;
         }
-        for unit in &self.shared.fabrics {
-            unit.work.notify_all();
+        let backlog = self
+            .pool
+            .backlog(tenant, &self.pool.backend().hosts[usize::from(model)]);
+        if backlog < budget.shed_depth {
+            return None;
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        // The typed-error telemetry hook: mark the decision on the timeline
+        // and persist the flight-recorder postmortem (the last queue-depth
+        // samples and spans before the shed).
+        let tracer = Tracer::global();
+        if tracer.enabled() {
+            let (tenant, backlog) = (i64::from(tenant), backlog as i64);
+            let ts = tracer.now_us();
+            tracer.instant(
+                "shed",
+                "fleet",
+                ts,
+                &[("tenant", tenant), ("backlog", backlog)],
+            );
+            fpsa_obs::flight_dump_on_error(
+                "fleet.shed",
+                &[
+                    ("tenant", tenant),
+                    ("p99_us", p99 as i64),
+                    ("budget_us", budget.p99_budget_us as i64),
+                    ("backlog", backlog),
+                ],
+            );
         }
-    }
-
-    /// The tenant's `(budget, observed p99)` if its p99 currently exceeds
-    /// the budget.
-    fn blown_budget(&self, tenant: u16) -> Option<(SloBudget, u64)> {
-        let stats = self.shared.stats.lock().expect("stats lock");
-        let state = stats.tenants.get(usize::from(tenant))?;
-        let budget = state.budget?;
-        let p99 = state.stats.p99_latency_us();
-        (p99 > budget.p99_budget_us).then_some((budget, p99))
-    }
-
-    /// Resolve a ticket with `err` without queueing, counting the
-    /// rejection for the tenant and the aggregate.
-    fn reject(&self, tenant: u16, err: ServeError) -> Ticket {
-        let mut stats = self.shared.stats.lock().expect("stats lock");
-        Self::count_rejection(&self.shared, &mut stats, tenant, err)
-    }
-
-    fn count_rejection(
-        shared: &Shared,
-        stats: &mut StatsState,
-        tenant: u16,
-        err: ServeError,
-    ) -> Ticket {
-        stats.aggregate.rejected += 1;
-        stats.tenant_mut(tenant).stats.rejected += 1;
-        shared.counters.rejected();
-        Ticket::resolved(Err(err))
-    }
-}
-
-impl Drop for FleetEngine {
-    fn drop(&mut self) {
-        self.shutdown_and_join();
+        Some(ServeError::Shed {
+            tenant,
+            p99_us: p99,
+            budget_us: budget.p99_budget_us,
+        })
     }
 }
 
@@ -662,160 +479,6 @@ impl fpsa_workload::RoutedReplayTarget for FleetEngine {
     }
     fn stats(&self) -> ServeStats {
         FleetEngine::stats(self).aggregate
-    }
-}
-
-/// One fabric worker: claim per-tenant batches under weighted-fair order,
-/// split each into contiguous same-model runs, execute them outside the
-/// queue lock on this worker's arena, answer every ticket.
-fn worker_loop(shared: &Shared, fabric: usize) {
-    let tracer = Tracer::global();
-    let mut arena = fpsa_sim::ExecArena::new();
-    let mut inputs: Vec<Vec<f32>> = Vec::new();
-    let mut outputs: Vec<Vec<f32>> = Vec::new();
-    let mut exec_spans: Vec<Span> = Vec::new();
-    while let Some((tenant, mut batch)) = next_batch(shared, fabric) {
-        if tracer.enabled() {
-            let ts = tracer.now_us();
-            for req in &batch {
-                tracer.exit(&req.queue_span, ts);
-            }
-        }
-        let mut start = 0;
-        while start < batch.len() {
-            // A lane is FIFO across models; a run is the longest prefix of
-            // one model, executed as one executor batch.
-            let model = batch[start].model;
-            let end = start
-                + batch[start..]
-                    .iter()
-                    .take_while(|req| req.model == model)
-                    .count();
-            let run = &mut batch[start..end];
-            inputs.clear();
-            inputs.extend(run.iter_mut().map(|req| std::mem::take(&mut req.input)));
-            exec_spans.clear();
-            if tracer.enabled() {
-                let ts = tracer.now_us();
-                exec_spans.extend(run.iter().map(|req| {
-                    tracer.enter_with(
-                        "execute",
-                        "fleet",
-                        ts,
-                        req.span.id,
-                        &[("fabric", fabric as i64), ("run", run.len() as i64)],
-                    )
-                }));
-            }
-            // Cache lookup and insert each hold the bind mutex briefly;
-            // the bind itself runs unlocked, so a slow cold bind never
-            // stalls a sibling replica's cache hits on the same fabric.
-            let cached = shared.fabrics[fabric]
-                .binds
-                .lock()
-                .expect("bind cache lock")
-                .lookup(model);
-            let executor = match cached {
-                Some(exec) => Ok(exec),
-                None => bind_executor(&shared.registry, model).map(|exec| {
-                    shared.fabrics[fabric]
-                        .binds
-                        .lock()
-                        .expect("bind cache lock")
-                        .insert(model, exec)
-                }),
-            };
-            let result = match executor {
-                Ok(exec) => exec
-                    .run_batch_into(&inputs, &mut arena, &mut outputs)
-                    .map_err(ServeError::Exec),
-                Err(e) => Err(e),
-            };
-            let done_us = shared.now_us();
-            if !exec_spans.is_empty() {
-                let ts = tracer.now_us();
-                for span in &exec_spans {
-                    tracer.exit(span, ts);
-                }
-            }
-            {
-                // Count the run before answering its tickets, so a client
-                // that just received its output observes itself in the
-                // stats.
-                let mut stats = shared.stats.lock().expect("stats lock");
-                stats.aggregate.record_batch(run.len(), result.is_ok());
-                shared.counters.batch_done(run.len(), result.is_ok());
-                if result.is_ok() {
-                    for req in run.iter() {
-                        let latency = done_us.saturating_sub(req.submitted_us);
-                        stats.aggregate.record_latency(latency);
-                    }
-                }
-                let tenant_state = stats.tenant_mut(tenant);
-                tenant_state.stats.record_batch(run.len(), result.is_ok());
-                if result.is_ok() {
-                    for req in run.iter() {
-                        let latency = done_us.saturating_sub(req.submitted_us);
-                        tenant_state.stats.record_latency(latency);
-                    }
-                }
-            }
-            match &result {
-                Ok(()) => {
-                    for (req, out) in run.iter().zip(outputs.iter_mut()) {
-                        let latency = done_us.saturating_sub(req.submitted_us);
-                        if req.span.id.is_none() {
-                            let _ = req.tx.send(Ok((std::mem::take(out), latency)));
-                        } else {
-                            let respond =
-                                tracer.enter("respond", "fleet", tracer.now_us(), req.span.id);
-                            let _ = req.tx.send(Ok((std::mem::take(out), latency)));
-                            let ts = tracer.now_us();
-                            tracer.record(&req.span, "latency_us", latency as i64, ts);
-                            tracer.exit(&respond, ts);
-                            tracer.exit(&req.span, ts);
-                        }
-                    }
-                }
-                Err(e) => {
-                    for req in run.iter() {
-                        let _ = req.tx.send(Err(e.clone()));
-                        if !req.span.id.is_none() {
-                            let ts = tracer.now_us();
-                            tracer.record(&req.span, "exec_error", 1, ts);
-                            tracer.exit(&req.span, ts);
-                        }
-                    }
-                }
-            }
-            start = end;
-        }
-    }
-}
-
-/// Block until this fabric has a batch (or drained out at shutdown),
-/// mirroring `fpsa_serve`'s `next_batch` over the weighted-fair queue.
-fn next_batch(shared: &Shared, fabric: usize) -> Option<(u16, Vec<FleetRequest>)> {
-    let unit = &shared.fabrics[fabric];
-    let mut state = unit.state.lock().expect("fabric lock");
-    loop {
-        let now = shared.now_us();
-        if let Some(popped) = state.queue.pop_ready(now) {
-            if !state.queue.is_empty() {
-                unit.work.notify_one();
-            }
-            return Some(popped);
-        }
-        if state.shutdown {
-            return state.queue.pop_now();
-        }
-        state = match state.queue.next_deadline_us() {
-            Some(deadline) => {
-                let wait = Duration::from_micros(deadline.saturating_sub(now).max(1));
-                unit.work.wait_timeout(state, wait).expect("fabric lock").0
-            }
-            None => unit.work.wait(state).expect("fabric lock"),
-        };
     }
 }
 
@@ -962,6 +625,31 @@ mod tests {
         assert!(status[0].violating);
         assert_eq!(status[0].budget_us, Some(0));
         assert_eq!(status[1].budget_us, None);
+    }
+
+    #[test]
+    fn config_reports_the_clamped_values_the_engine_runs_with() {
+        let registry = zoo_registry();
+        let placement = FleetPlacement::pack(&registry, 1, ample()).unwrap();
+        let engine = FleetEngine::start(
+            registry,
+            placement,
+            FleetConfig::default()
+                .with_replicas(0)
+                .with_batching(0, 50)
+                .with_bind_cache(0)
+                .with_tenant_weight(1, 0),
+        );
+        let config = engine.config();
+        assert_eq!(config.replicas_per_fabric, 1);
+        assert_eq!(config.max_batch, 1);
+        assert_eq!(config.batch_window_us, 50);
+        assert_eq!(
+            config.bind_cache, 1,
+            "a zero-slot cache still holds one bind"
+        );
+        assert_eq!(config.tenant_weights, vec![(1, 1)], "weights clamp to 1");
+        engine.infer(1, 0, sample(16, 1)).unwrap();
     }
 
     #[test]

@@ -13,20 +13,22 @@
 //!   models onto fabrics first-fit-decreasing and replicates them into the
 //!   leftover room, failing with the compiler's own typed
 //!   `CompileError::CapacityExceeded` when a model fits nowhere;
-//! * [`FleetEngine`] — per-fabric worker pools behind weighted-fair
-//!   (deficit-round-robin) tenant queues, shortest-queue routing across
-//!   the fabrics hosting a model, an LRU bind-handle cache so cold models
-//!   pay one bind, and per-tenant latency histograms with SLO budgets that
+//! * [`FleetEngine`] — the `fpsa_serve::pool` serving core with one routed
+//!   unit per fabric: weighted-fair (deficit-round-robin) tenant lanes,
+//!   shortest-queue routing across the fabrics hosting a model, an LRU
+//!   bind-handle cache so cold models pay one bind, and per-tenant latency
+//!   histograms (kept per fabric, merged on demand) with SLO budgets that
 //!   shed (typed `ServeError::Shed`) once a tenant's p99 blows through its
 //!   budget with a backlog behind it.
 //!
 //! Fleet outputs are **bit-identical** to direct `Executor::run` for every
 //! model, tenant, precision and interleaving (`tests/fleet_determinism.rs`)
 //! — co-location changes where and when a request runs, never what it
-//! computes. The virtual-clock twin of this engine lives in
-//! `fpsa_workload::simulate_fleet`, and `experiments::fleet` compares the
-//! two placements (co-located fleet vs dedicated single-model engines) on
-//! that deterministic clock for the CI-pinned `BENCH_fleet.json`.
+//! computes. The virtual-clock twin of this engine is
+//! `fpsa_workload::simulate_fleet` (the same twin `simulate` runs with one
+//! fabric and one lane), and `experiments::fleet` compares the two
+//! placements (co-located fleet vs dedicated single-model engines) on that
+//! deterministic clock for the CI-pinned `BENCH_fleet.json`.
 //!
 //! # Quick start
 //!

@@ -1,4 +1,4 @@
-//! `fpsa_serve` — the in-process high-throughput serving engine.
+//! `fpsa_serve` — the in-process high-throughput serving engines.
 //!
 //! Everything below `fpsa_serve` computes one sample at a time:
 //! `fpsa_sim::exec::Executor` binds a compiled model's artifacts to weights
@@ -12,11 +12,18 @@
 //!   no request ever pays the bind cost again;
 //! * **dynamic batching** — queued requests coalesce FIFO up to a size /
 //!   deadline window ([`DynamicBatcher`], a pure state machine with its own
-//!   property suite);
+//!   property suite), per tenant lane under deficit round-robin
+//!   ([`WeightedFairBatcher`]);
 //! * **replica sharding** — ready batches are claimed by whichever replica
 //!   frees up first and executed outside the queue lock, pipelining
 //!   consecutive batches across replicas; each replica recycles one
 //!   `fpsa_sim::ExecArena`, so the hot path performs no scratch allocation.
+//!
+//! Every engine is a configuration of one worker-pool core ([`pool`]): the
+//! [`ServeEngine`] is one unit, the pipeline-parallel [`ShardedEngine`] is
+//! one chained unit per stage, and `fpsa_fleet::FleetEngine` is one routed
+//! unit per fabric. Admission, the worker loop, drain-on-shutdown, stats,
+//! registry counters and spans are implemented once, there.
 //!
 //! Throughput comes from amortization and parallelism only — never from
 //! changed arithmetic: engine outputs are bit-identical to direct
@@ -44,13 +51,13 @@
 
 pub mod batcher;
 pub mod engine;
+pub mod pool;
 pub mod sharded;
 pub mod wfq;
 
 pub use batcher::{BatchPolicy, DynamicBatcher};
 pub use engine::{
-    EngineCounters, Response, ServeConfig, ServeEngine, ServeError, ServeStats, Ticket,
-    STATS_BUCKETS,
+    Response, ServeConfig, ServeEngine, ServeError, ServeStats, Ticket, STATS_BUCKETS,
 };
 pub use sharded::ShardedEngine;
 pub use wfq::WeightedFairBatcher;

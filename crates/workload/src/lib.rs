@@ -22,9 +22,11 @@
 //!    their public submit/ticket APIs — outputs are bit-identical across
 //!    replays, replica counts and client thread counts, wall-clock numbers
 //!    are advisory. [`simulate`] replays the trace under a deterministic
-//!    virtual clock over the engines' own [`fpsa_serve::DynamicBatcher`] —
-//!    its [`fpsa_serve::ServeStats`] is identical on every run and so safe
-//!    to pin in CI.
+//!    virtual clock — the one-fabric case of the twin of the serving core
+//!    that [`simulate_fleet`] runs in general, over the engines' own
+//!    [`fpsa_serve::WeightedFairBatcher`] — and its
+//!    [`fpsa_serve::ServeStats`] is identical on every run and so safe to
+//!    pin in CI.
 //! 4. **Sample** long traces SimPoint-style: [`phases::plan`] clusters
 //!    fixed-size windows by workload features and [`phases::simulate_phased`]
 //!    replays one weighted representative per cluster, reproducing

@@ -3,20 +3,24 @@
 //! This is the measured half of the workload story: the virtual clock in
 //! [`crate::sim`] answers "what do these arrivals deserve" deterministically,
 //! while [`TraceReplayer`] pushes the very same events through a live
-//! [`ServeEngine`]/[`ShardedEngine`] worker pool and reports what actually
-//! happened on the wall clock. Outputs are **bit-identical** across replays,
-//! replica counts and client thread counts — every request's input vector is
-//! regenerated from the trace seed by index ([`Trace::input_for`]) and the
-//! executors themselves are deterministic — so acceptance tests can pin
-//! `f32`-exact agreement while timing stays advisory.
+//! [`ServeEngine`]/[`ShardedEngine`] (or, routed by tenant and model, a
+//! fleet) worker pool and reports what actually happened on the wall
+//! clock. Every replay runs one of two loops — one client thread, or
+//! several burst-paced ones — over a routed target; single-model targets
+//! are adapted onto them by ignoring the tenant and model columns.
+//! Outputs are **bit-identical** across replays, replica counts and client
+//! thread counts — every request's input vector is regenerated from the
+//! trace seed by index ([`Trace::input_for`]) and the executors themselves
+//! are deterministic — so acceptance tests can pin `f32`-exact agreement
+//! while timing stays advisory.
 
 use crate::trace::Trace;
 use fpsa_serve::{ServeEngine, ServeStats, ShardedEngine, Ticket};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Anything a recorded trace can be replayed against: the two serving
-/// engines today, test doubles tomorrow. One request in, one ticket out,
+/// Anything a single-model trace can be replayed against: the serving and
+/// sharded engines, or a test double. One request in, one ticket out,
 /// engine-contract counters on demand.
 pub trait ReplayTarget {
     /// Enqueue one request; the ticket resolves when a worker finishes it.
@@ -115,34 +119,7 @@ impl<'a> TraceReplayer<'a> {
 
     /// Replay every event from one client thread, in trace order.
     pub fn replay<T: ReplayTarget>(&self, target: &T) -> ReplayOutcome {
-        let start = Instant::now();
-        let mut tickets = Vec::with_capacity(self.trace.len());
-        let first_at = self.trace.events.first().map_or(0, |e| e.at_us);
-        for (index, event) in self.trace.events.iter().enumerate() {
-            if self.pacing == Pacing::Trace {
-                let offset_us = event.at_us - first_at;
-                let elapsed_us = start.elapsed().as_micros() as u64;
-                if offset_us > elapsed_us {
-                    std::thread::sleep(std::time::Duration::from_micros(offset_us - elapsed_us));
-                }
-            }
-            tickets.push(target.submit(self.trace.input_for(index, self.input_len)));
-        }
-        let mut outputs = Vec::with_capacity(tickets.len());
-        let mut latencies_us = Vec::with_capacity(tickets.len());
-        for (index, ticket) in tickets.into_iter().enumerate() {
-            let (logits, latency_us) = ticket
-                .wait_timed()
-                .unwrap_or_else(|e| panic!("replay request {index} failed: {e}"));
-            outputs.push(logits);
-            latencies_us.push(latency_us);
-        }
-        ReplayOutcome {
-            outputs,
-            latencies_us,
-            wall_us: start.elapsed().as_micros() as u64,
-            stats: target.stats(),
-        }
+        self.play(&Single(target), &|_| self.input_len)
     }
 
     /// Replay through `clients` concurrent submitter threads (events dealt
@@ -155,47 +132,7 @@ impl<'a> TraceReplayer<'a> {
         target: &T,
         clients: usize,
     ) -> ReplayOutcome {
-        let clients = clients.max(1);
-        let start = Instant::now();
-        let mut slots: Vec<Option<(Vec<f32>, u64)>> = vec![None; self.trace.len()];
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(clients);
-            for client in 0..clients {
-                handles.push(scope.spawn(move || {
-                    let mut resolved = Vec::new();
-                    let owned: Vec<usize> = (client..self.trace.len()).step_by(clients).collect();
-                    let tickets: Vec<Ticket> = owned
-                        .iter()
-                        .map(|&i| target.submit(self.trace.input_for(i, self.input_len)))
-                        .collect();
-                    for (&index, ticket) in owned.iter().zip(tickets) {
-                        let timed = ticket
-                            .wait_timed()
-                            .unwrap_or_else(|e| panic!("replay request {index} failed: {e}"));
-                        resolved.push((index, timed));
-                    }
-                    resolved
-                }));
-            }
-            for handle in handles {
-                for (index, timed) in handle.join().expect("replay client panicked") {
-                    slots[index] = Some(timed);
-                }
-            }
-        });
-        let mut outputs = Vec::with_capacity(slots.len());
-        let mut latencies_us = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let (logits, latency_us) = slot.expect("every trace event replayed");
-            outputs.push(logits);
-            latencies_us.push(latency_us);
-        }
-        ReplayOutcome {
-            outputs,
-            latencies_us,
-            wall_us: start.elapsed().as_micros() as u64,
-            stats: target.stats(),
-        }
+        self.play_concurrent(&Single(target), &|_| self.input_len, clients)
     }
 
     /// Replay every event through a routed target, honouring each event's
@@ -214,39 +151,7 @@ impl<'a> TraceReplayer<'a> {
         target: &T,
         input_lens: &[usize],
     ) -> ReplayOutcome {
-        let start = Instant::now();
-        let mut tickets = Vec::with_capacity(self.trace.len());
-        let first_at = self.trace.events.first().map_or(0, |e| e.at_us);
-        for (index, event) in self.trace.events.iter().enumerate() {
-            if self.pacing == Pacing::Trace {
-                let offset_us = event.at_us - first_at;
-                let elapsed_us = start.elapsed().as_micros() as u64;
-                if offset_us > elapsed_us {
-                    std::thread::sleep(std::time::Duration::from_micros(offset_us - elapsed_us));
-                }
-            }
-            let len = input_lens[usize::from(event.model)];
-            tickets.push(target.submit_routed(
-                event.tenant,
-                event.model,
-                self.trace.input_for(index, len),
-            ));
-        }
-        let mut outputs = Vec::with_capacity(tickets.len());
-        let mut latencies_us = Vec::with_capacity(tickets.len());
-        for (index, ticket) in tickets.into_iter().enumerate() {
-            let (logits, latency_us) = ticket
-                .wait_timed()
-                .unwrap_or_else(|e| panic!("routed replay request {index} failed: {e}"));
-            outputs.push(logits);
-            latencies_us.push(latency_us);
-        }
-        ReplayOutcome {
-            outputs,
-            latencies_us,
-            wall_us: start.elapsed().as_micros() as u64,
-            stats: target.stats(),
-        }
+        self.play(target, &|model| input_lens[usize::from(model)])
     }
 
     /// [`Self::replay_routed`] through `clients` concurrent submitter
@@ -264,54 +169,121 @@ impl<'a> TraceReplayer<'a> {
         input_lens: &[usize],
         clients: usize,
     ) -> ReplayOutcome {
+        self.play_concurrent(target, &|model| input_lens[usize::from(model)], clients)
+    }
+
+    /// Submit event `index` with an input of its model's width.
+    fn submit<T: RoutedReplayTarget>(
+        &self,
+        target: &T,
+        input_len: &dyn Fn(u16) -> usize,
+        index: usize,
+    ) -> Ticket {
+        let event = &self.trace.events[index];
+        let input = self.trace.input_for(index, input_len(event.model));
+        target.submit_routed(event.tenant, event.model, input)
+    }
+
+    /// The single-client loop: submit in trace order (paced if asked),
+    /// then redeem every ticket.
+    fn play<T: RoutedReplayTarget>(
+        &self,
+        target: &T,
+        input_len: &dyn Fn(u16) -> usize,
+    ) -> ReplayOutcome {
+        let start = Instant::now();
+        let first_at = self.trace.events.first().map_or(0, |e| e.at_us);
+        let tickets: Vec<Ticket> = (0..self.trace.len())
+            .map(|index| {
+                if self.pacing == Pacing::Trace {
+                    let offset_us = self.trace.events[index].at_us - first_at;
+                    let elapsed_us = start.elapsed().as_micros() as u64;
+                    if offset_us > elapsed_us {
+                        std::thread::sleep(Duration::from_micros(offset_us - elapsed_us));
+                    }
+                }
+                self.submit(target, input_len, index)
+            })
+            .collect();
+        outcome(start, tickets.into_iter().enumerate().map(redeem), target)
+    }
+
+    /// The concurrent loop: `clients` burst-paced submitter threads, events
+    /// dealt round-robin, results reassembled into trace order.
+    fn play_concurrent<T: RoutedReplayTarget + Sync>(
+        &self,
+        target: &T,
+        input_len: &(dyn Fn(u16) -> usize + Sync),
+        clients: usize,
+    ) -> ReplayOutcome {
         let clients = clients.max(1);
         let start = Instant::now();
         let mut slots: Vec<Option<(Vec<f32>, u64)>> = vec![None; self.trace.len()];
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(clients);
-            for client in 0..clients {
-                handles.push(scope.spawn(move || {
-                    let mut resolved = Vec::new();
-                    let owned: Vec<usize> = (client..self.trace.len()).step_by(clients).collect();
-                    let tickets: Vec<Ticket> = owned
-                        .iter()
-                        .map(|&i| {
-                            let event = &self.trace.events[i];
-                            let len = input_lens[usize::from(event.model)];
-                            target.submit_routed(
-                                event.tenant,
-                                event.model,
-                                self.trace.input_for(i, len),
-                            )
-                        })
-                        .collect();
-                    for (&index, ticket) in owned.iter().zip(tickets) {
-                        let timed = ticket.wait_timed().unwrap_or_else(|e| {
-                            panic!("routed replay request {index} failed: {e}")
-                        });
-                        resolved.push((index, timed));
-                    }
-                    resolved
-                }));
-            }
+            let handles: Vec<_> = (0..clients)
+                .map(|client| {
+                    scope.spawn(move || {
+                        let owned: Vec<usize> =
+                            (client..self.trace.len()).step_by(clients).collect();
+                        let tickets: Vec<Ticket> = owned
+                            .iter()
+                            .map(|&index| self.submit(target, input_len, index))
+                            .collect();
+                        let resolved = owned.into_iter().zip(tickets);
+                        resolved
+                            .map(|(i, t)| (i, redeem((i, t))))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
             for handle in handles {
                 for (index, timed) in handle.join().expect("replay client panicked") {
                     slots[index] = Some(timed);
                 }
             }
         });
-        let mut outputs = Vec::with_capacity(slots.len());
-        let mut latencies_us = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let (logits, latency_us) = slot.expect("every trace event replayed");
-            outputs.push(logits);
-            latencies_us.push(latency_us);
-        }
-        ReplayOutcome {
-            outputs,
-            latencies_us,
-            wall_us: start.elapsed().as_micros() as u64,
-            stats: target.stats(),
-        }
+        let resolved = slots
+            .into_iter()
+            .map(|slot| slot.expect("every trace event replayed"));
+        outcome(start, resolved, target)
+    }
+}
+
+/// A single-model target seen as a routed one: tenant and model ignored.
+struct Single<'t, T>(&'t T);
+
+impl<T: ReplayTarget> RoutedReplayTarget for Single<'_, T> {
+    fn submit_routed(&self, _tenant: u16, _model: u16, input: Vec<f32>) -> Ticket {
+        self.0.submit(input)
+    }
+    fn stats(&self) -> ServeStats {
+        self.0.stats()
+    }
+}
+
+/// Block for one replayed request's output and latency.
+///
+/// # Panics
+///
+/// When the request failed: a replayed trace holds only valid requests.
+fn redeem((index, ticket): (usize, Ticket)) -> (Vec<f32>, u64) {
+    ticket
+        .wait_timed()
+        .unwrap_or_else(|e| panic!("replay request {index} failed: {e}"))
+}
+
+/// Collect the resolved requests in trace order, then stop the wall clock
+/// and snapshot the target's counters.
+fn outcome<T: RoutedReplayTarget>(
+    start: Instant,
+    resolved: impl Iterator<Item = (Vec<f32>, u64)>,
+    target: &T,
+) -> ReplayOutcome {
+    let (outputs, latencies_us) = resolved.unzip();
+    ReplayOutcome {
+        outputs,
+        latencies_us,
+        wall_us: start.elapsed().as_micros() as u64,
+        stats: target.stats(),
     }
 }

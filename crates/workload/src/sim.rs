@@ -1,26 +1,35 @@
-//! The deterministic virtual-time replay clock.
+//! The deterministic virtual-time replay clock: one twin of the serving
+//! core.
 //!
 //! Wall-clock serving measurements depend on thread scheduling, CPU load
 //! and timer resolution — none of which belongs in a CI pin. Following the
 //! record → simulate → report methodology (measure against a model you can
-//! hold fixed, not an ad-hoc probe), [`simulate`] replays a recorded
-//! [`Trace`] through the *real* [`DynamicBatcher`] state machine — the same
-//! pure, clock-free admission discipline the serving engines run — under a
-//! discrete-event virtual clock: arrivals land at their trace timestamps,
-//! ready batches are claimed by the earliest-free of `replicas` virtual
-//! workers, and each batch occupies its worker for the scenario's
-//! [`ServiceModel`] cost. Everything is integer microseconds, the
-//! simulation is single-threaded, and ties break by index — so the
-//! resulting [`ServeStats`] (built through the engine's own recording
-//! methods, bucket for bucket) is **identical across runs, host thread
-//! counts and real-engine replica configurations**, which is exactly the
-//! property the phase-sampling tolerance pin and the determinism suite
+//! hold fixed, not an ad-hoc probe), the twin replays a recorded [`Trace`]
+//! through the *real* [`WeightedFairBatcher`] state machine — the same
+//! pure, clock-free queue every unit of the `fpsa_serve::pool` core runs —
+//! under a discrete-event virtual clock, mirroring the core's routed units
+//! (the fleet's wiring; the plain engine is its one-unit case):
+//!
+//! * arrivals land at their trace timestamps and route to the hosting
+//!   fabric with the shortest queue (ties to the lowest index);
+//! * each fabric's earliest-free of `replicas` virtual workers claims the
+//!   next ready batch under weighted-fair order;
+//! * each batch occupies its worker for the scenario's [`ServiceModel`]
+//!   cost.
+//!
+//! [`simulate`] is the one-fabric, one-lane case (the plain serving
+//! engine) and [`simulate_fleet`] the general one. Everything is integer
+//! microseconds, the replay is single-threaded, and ties break by index —
+//! so the resulting [`ServeStats`] (built through the engine's own
+//! recording methods, bucket for bucket) is **identical across runs, host
+//! thread counts and real-engine replica configurations**, which is exactly
+//! the property the phase-sampling tolerance pin and the determinism suite
 //! stand on.
 
 use crate::scenario::{ReplayPolicy, ServiceModel};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::Trace;
 use fpsa_obs::{Span, SpanId, Tracer};
-use fpsa_serve::{BatchPolicy, DynamicBatcher, ServeStats, WeightedFairBatcher};
+use fpsa_serve::{BatchPolicy, ServeStats, WeightedFairBatcher};
 use serde::{Deserialize, Serialize};
 
 /// The result of one virtual-time replay.
@@ -38,6 +47,7 @@ pub struct VirtualReplay {
 }
 
 impl VirtualReplay {
+    #[cfg(test)]
     fn empty() -> VirtualReplay {
         VirtualReplay {
             stats: ServeStats::default(),
@@ -47,9 +57,10 @@ impl VirtualReplay {
     }
 }
 
-/// Replay `trace` under the virtual clock (see the module docs).
+/// Replay `trace` under the virtual clock as one serving engine: one
+/// fabric, every request on one lane (see the module docs).
 pub fn simulate(trace: &Trace, policy: ReplayPolicy, service: ServiceModel) -> VirtualReplay {
-    simulate_inner(trace, policy, service, None)
+    twin(trace, &one_fabric(policy), service, None, true).aggregate
 }
 
 /// [`simulate`], recording every request's `request → queue → execute →
@@ -68,107 +79,7 @@ pub fn simulate_traced(
     service: ServiceModel,
     tracer: &Tracer,
 ) -> VirtualReplay {
-    simulate_inner(trace, policy, service, Some(tracer))
-}
-
-fn simulate_inner(
-    trace: &Trace,
-    policy: ReplayPolicy,
-    service: ServiceModel,
-    tracer: Option<&Tracer>,
-) -> VirtualReplay {
-    if trace.is_empty() {
-        return VirtualReplay::empty();
-    }
-    // Request/queue span handles, indexed by trace-event index (admissions
-    // happen strictly in index order).
-    let mut spans: Vec<(Span, Span)> = Vec::new();
-    let mut batcher: DynamicBatcher<usize> =
-        DynamicBatcher::new(BatchPolicy::new(policy.max_batch, policy.window_us));
-    let mut stats = ServeStats::default();
-    let mut free = vec![0u64; policy.replicas.max(1)];
-    let events = &trace.events;
-    let mut next = 0usize;
-    let mut last_finish = 0u64;
-    // The global simulation clock: monotone, so a replica that frees up
-    // early can never claim a batch "before" arrivals the simulation has
-    // already admitted (which would send a latency negative).
-    let mut clock = 0u64;
-
-    while next < events.len() || !batcher.is_empty() {
-        // The earliest-free virtual worker claims the next batch (ties by
-        // worker index) — the deterministic mirror of "whichever replica
-        // frees up first".
-        let (worker, worker_free) = free
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|&(i, t)| (t, i))
-            .expect("replicas >= 1");
-        let mut now = worker_free.max(clock);
-        loop {
-            // Arrivals up to the candidate instant join the queue first, so
-            // simultaneity resolves identically on every run.
-            while next < events.len() && events[next].at_us <= now {
-                let at = events[next].at_us;
-                stats.submitted += 1;
-                batcher.push(next, at);
-                stats.record_queue_depth(batcher.len());
-                if let Some(t) = tracer {
-                    let root = t.enter_with(
-                        "request",
-                        "replay",
-                        at,
-                        SpanId::NONE,
-                        &[
-                            ("tenant", i64::from(events[next].tenant)),
-                            ("model", i64::from(events[next].model)),
-                        ],
-                    );
-                    let queue = t.enter("queue", "replay", at, root.id);
-                    spans.push((root, queue));
-                    t.counter("replay.queue_depth", "replay", at, batcher.len() as i64);
-                }
-                next += 1;
-            }
-            if batcher.ready(now) {
-                break;
-            }
-            // Advance to the next interesting instant: the oldest entry's
-            // deadline or the next arrival. Both are > now (arrivals <= now
-            // are already pushed; an expired deadline implies ready).
-            now = match (batcher.next_deadline_us(), events.get(next)) {
-                (Some(deadline), Some(event)) => deadline.min(event.at_us),
-                (Some(deadline), None) => deadline,
-                (None, Some(event)) => event.at_us,
-                (None, None) => return finishize(stats, events, last_finish),
-            }
-            .max(now);
-        }
-        let batch = batcher.pop_ready(now).expect("checked ready");
-        clock = now;
-        let blen = batch.len();
-        let finish = now + service.batch_us(blen);
-        free[worker] = finish;
-        last_finish = last_finish.max(finish);
-        stats.record_batch(blen, true);
-        for index in batch {
-            let latency = finish - events[index].at_us;
-            stats.record_latency(latency);
-            if let Some(t) = tracer {
-                let (root, queue) = spans[index];
-                t.exit(&queue, now);
-                let exec =
-                    t.enter_with("execute", "replay", now, root.id, &[("batch", blen as i64)]);
-                t.exit(&exec, finish);
-                let respond = t.enter("respond", "replay", finish, root.id);
-                t.exit(&respond, finish);
-                t.record(&root, "latency_us", latency as i64, finish);
-                t.exit(&root, finish);
-            }
-        }
-    }
-    finishize(stats, events, last_finish)
+    twin(trace, &one_fabric(policy), service, Some(tracer), true).aggregate
 }
 
 /// How a virtual *fleet* replays a trace: several fabrics, each running a
@@ -194,20 +105,16 @@ pub struct FleetVirtualReplay {
     pub per_tenant: Vec<ServeStats>,
 }
 
-/// Replay `trace` through a virtual fleet (see [`FleetPolicy`]): arrivals
-/// route to the hosting fabric with the shortest queue (ties to the lowest
-/// index — the deterministic mirror of `FleetEngine`'s router), each
-/// fabric's earliest-free replica claims batches under weighted-fair
-/// order, and every batch costs the scenario's [`ServiceModel`] time.
-/// Single-threaded, integer microseconds, bit-deterministic. A model
-/// hosted nowhere falls back to routing across every fabric, so a stale
-/// placement degrades to a shared queue instead of dropping work.
+/// Replay `trace` through a virtual fleet (see [`FleetPolicy`] and the
+/// module docs): lanes are the trace's tenants, and a model hosted nowhere
+/// falls back to routing across every fabric, so a stale placement
+/// degrades to a shared queue instead of dropping work.
 pub fn simulate_fleet(
     trace: &Trace,
     policy: &FleetPolicy,
     service: ServiceModel,
 ) -> FleetVirtualReplay {
-    simulate_fleet_inner(trace, policy, service, None)
+    twin(trace, policy, service, None, false)
 }
 
 /// [`simulate_fleet`] with the same per-request span recording contract as
@@ -219,21 +126,35 @@ pub fn simulate_fleet_traced(
     service: ServiceModel,
     tracer: &Tracer,
 ) -> FleetVirtualReplay {
-    simulate_fleet_inner(trace, policy, service, Some(tracer))
+    twin(trace, policy, service, Some(tracer), false)
 }
 
-fn simulate_fleet_inner(
+/// The serving engine's layout: one fabric that every model routes to.
+fn one_fabric(policy: ReplayPolicy) -> FleetPolicy {
+    FleetPolicy {
+        per_fabric: policy,
+        hosted: vec![Vec::new()],
+        tenant_weights: Vec::new(),
+    }
+}
+
+fn lane_mut(per_lane: &mut Vec<ServeStats>, lane: u16) -> &mut ServeStats {
+    let index = usize::from(lane);
+    if per_lane.len() <= index {
+        per_lane.resize(index + 1, ServeStats::default());
+    }
+    &mut per_lane[index]
+}
+
+/// The twin. `one_lane` queues every request on lane 0 (the serving
+/// engine's single-tenant queue) instead of its tenant's lane.
+fn twin(
     trace: &Trace,
     policy: &FleetPolicy,
     service: ServiceModel,
     tracer: Option<&Tracer>,
+    one_lane: bool,
 ) -> FleetVirtualReplay {
-    if trace.is_empty() {
-        return FleetVirtualReplay {
-            aggregate: VirtualReplay::empty(),
-            per_tenant: Vec::new(),
-        };
-    }
     let fabrics = policy.hosted.len().max(1);
     let per_fabric = BatchPolicy::new(policy.per_fabric.max_batch, policy.per_fabric.window_us);
     let mut queues: Vec<WeightedFairBatcher<usize>> = (0..fabrics)
@@ -246,24 +167,17 @@ fn simulate_fleet_inner(
         })
         .collect();
     let mut free = vec![vec![0u64; policy.per_fabric.replicas.max(1)]; fabrics];
-    let mut stats = ServeStats::default();
-    let mut per_tenant: Vec<ServeStats> = Vec::new();
+    let mut per_lane: Vec<ServeStats> = Vec::new();
     // Request/queue span handles, indexed by trace-event index (admissions
     // happen strictly in index order).
     let mut spans: Vec<(Span, Span)> = Vec::new();
     let events = &trace.events;
     let mut next = 0usize;
     let mut last_finish = 0u64;
-    // Global monotone clock, exactly as in [`simulate`].
+    // The global simulation clock: monotone, so a worker that frees up
+    // early can never claim a batch "before" arrivals the simulation has
+    // already admitted (which would send a latency negative).
     let mut clock = 0u64;
-
-    fn tenant_mut(per_tenant: &mut Vec<ServeStats>, tenant: u16) -> &mut ServeStats {
-        let index = usize::from(tenant);
-        while per_tenant.len() <= index {
-            per_tenant.push(ServeStats::default());
-        }
-        &mut per_tenant[index]
-    }
 
     loop {
         // The earliest instant any fabric could pop a batch: its earliest
@@ -300,20 +214,18 @@ fn simulate_fleet_inner(
                         .min_by_key(|&f| (queues[f].len(), f))
                         .expect("fabrics >= 1")
                 });
-            queues[fabric].push(event.tenant, next, event.at_us);
-            // Admission advances the global clock to the arrival instant
-            // (the fleet mirror of `simulate`'s `.max(now)` on event
-            // times). Without this, a count-full queue is "ready" at the
-            // stale clock and a batch can be popped *before* its items
-            // arrived, underflowing `finish - at_us`. Safe to advance:
-            // `at_us <= horizon` means no fabric had an earlier action.
+            let lane = if one_lane { 0 } else { event.tenant };
+            queues[fabric].push(lane, next, event.at_us);
+            // Admission advances the global clock to the arrival instant.
+            // Without this, a count-full queue is "ready" at the stale clock
+            // and a batch can be popped *before* its items arrived,
+            // underflowing `finish - at_us`. Safe to advance: `at_us <=
+            // horizon` means no fabric had an earlier action.
             clock = clock.max(event.at_us);
             let depth = queues[fabric].len();
+            let stats = lane_mut(&mut per_lane, lane);
             stats.submitted += 1;
             stats.record_queue_depth(depth);
-            let tenant = tenant_mut(&mut per_tenant, event.tenant);
-            tenant.submitted += 1;
-            tenant.record_queue_depth(depth);
             if let Some(t) = tracer {
                 let root = t.enter_with(
                     "request",
@@ -342,13 +254,14 @@ fn simulate_fleet_inner(
         let Some((now, fabric)) = action else {
             break; // no queued work and no arrivals left
         };
+        // The earliest-free worker claims the batch (ties by worker index).
         let (worker, _) = free[fabric]
             .iter()
             .copied()
             .enumerate()
             .min_by_key(|&(i, t)| (t, i))
             .expect("replicas >= 1");
-        let (tenant_id, batch) = queues[fabric]
+        let (lane, batch) = queues[fabric]
             .pop_ready(now)
             .expect("a fabric's action instant has a ready batch");
         clock = now;
@@ -356,13 +269,11 @@ fn simulate_fleet_inner(
         let finish = now + service.batch_us(blen);
         free[fabric][worker] = finish;
         last_finish = last_finish.max(finish);
+        let stats = lane_mut(&mut per_lane, lane);
         stats.record_batch(blen, true);
-        let tenant = tenant_mut(&mut per_tenant, tenant_id);
-        tenant.record_batch(blen, true);
         for index in batch {
             let latency = finish - events[index].at_us;
             stats.record_latency(latency);
-            tenant_mut(&mut per_tenant, tenant_id).record_latency(latency);
             if let Some(t) = tracer {
                 let (root, queue) = spans[index];
                 t.exit(&queue, now);
@@ -382,22 +293,27 @@ fn simulate_fleet_inner(
         }
     }
 
-    FleetVirtualReplay {
-        aggregate: finishize(stats, events, last_finish),
-        per_tenant,
+    let mut stats = ServeStats::default();
+    for lane in &per_lane {
+        stats.merge(lane);
     }
-}
-
-fn finishize(stats: ServeStats, events: &[TraceEvent], last_finish: u64) -> VirtualReplay {
     // Makespan runs from the first *arrival*, not virtual t=0: a trace
     // slice that was not rebased starts deep into virtual time, and
     // counting that dead lead-in would deflate throughput_rps.
     let first_at = events.first().map_or(0, |e| e.at_us);
     let makespan_us = last_finish.saturating_sub(first_at);
-    VirtualReplay {
-        stats,
-        makespan_us,
-        throughput_rps: events.len() as f64 / (makespan_us.max(1) as f64 / 1_000_000.0),
+    let throughput_rps = if events.is_empty() {
+        0.0
+    } else {
+        events.len() as f64 / (makespan_us.max(1) as f64 / 1_000_000.0)
+    };
+    FleetVirtualReplay {
+        aggregate: VirtualReplay {
+            stats,
+            makespan_us,
+            throughput_rps,
+        },
+        per_tenant: per_lane,
     }
 }
 
@@ -405,7 +321,7 @@ fn finishize(stats: ServeStats, events: &[TraceEvent], last_finish: u64) -> Virt
 mod tests {
     use super::*;
     use crate::scenario::{ArrivalProcess, Scenario};
-    use crate::trace::TraceRecorder;
+    use crate::trace::{TraceEvent, TraceRecorder};
 
     fn replay(scenario: &Scenario) -> VirtualReplay {
         let trace = TraceRecorder::new(scenario).record().unwrap();
