@@ -1,5 +1,6 @@
-//! Per-sample forward-pass cost of the bytecode executor vs the retired
-//! tile-program interpreter, bind-amortized on one core, on the two
+//! Per-sample forward-pass cost of the bytecode executor vs the reference
+//! tile-program interpreter (`fpsa_sim`'s always-built differential oracle,
+//! run on its own `InterpArena`), bind-amortized on one core, on the two
 //! deterministic paper models (MLP-500-100 and LeNet).
 //!
 //! Two bytecode numbers are reported: single-sample `run_into`, and the
@@ -19,7 +20,7 @@ use fpsa_bench::{print_experiment, save_bench_artifact};
 use fpsa_core::validate::sample_inputs;
 use fpsa_core::Compiler;
 use fpsa_nn::{zoo, ComputationalGraph, GraphParameters};
-use fpsa_sim::{ExecArena, Executor, Precision};
+use fpsa_sim::{ExecArena, Executor, InterpArena, Precision};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -72,7 +73,7 @@ fn measure(graph: &ComputationalGraph) -> (ExecRow, Executor, Vec<Vec<f32>>) {
         exec.run_batch_into(xs, &mut arena, &mut outs)
             .expect("batched run");
     });
-    let mut arena = ExecArena::default();
+    let mut arena = InterpArena::default();
     let mut out = Vec::new();
     let interpreter = best_ns_per_sample(&inputs, |xs| {
         for x in xs {

@@ -14,6 +14,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fpsa_bench::{print_experiment, save_bench_artifact};
 use fpsa_fleet::experiments::fleet::{checked_in_zoo, measure_dedicated, run, FleetComparison};
+use fpsa_obs::export::json_str;
 use fpsa_workload::{simulate_fleet, FleetPolicy, TraceRecorder};
 use std::fmt::Write as _;
 
@@ -55,14 +56,14 @@ fn to_table(c: &FleetComparison, dedicated_measured_rps: f64) -> String {
 /// JSON), parsed and pinned by the `fleet` CI job.
 fn to_json(c: &FleetComparison, dedicated_measured_rps: f64) -> String {
     let mut j = String::from("{\n");
-    let _ = writeln!(j, "  \"scenario\": \"{}\",", c.scenario);
+    let _ = writeln!(j, "  \"scenario\": {},", json_str(&c.scenario));
     let _ = writeln!(j, "  \"requests\": {},", c.requests);
     let _ = writeln!(j, "  \"trace_fingerprint\": \"{:016x}\",", c.fingerprint);
     let _ = writeln!(j, "  \"fabrics\": {},", c.fabrics);
     let models = c
         .models
         .iter()
-        .map(|m| format!("\"{m}\""))
+        .map(|m| json_str(m))
         .collect::<Vec<_>>()
         .join(", ");
     let _ = writeln!(j, "  \"models\": [{models}],");

@@ -15,9 +15,12 @@ use std::fs;
 use std::io;
 use std::path::PathBuf;
 
-/// Escape a string into a JSON literal's interior.
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
+/// Render a string as a quoted, escaped JSON string literal. The one JSON
+/// string escaper of the workspace's hand-rendered artifacts (trace exports
+/// here, scenario reports, bench JSON).
+pub fn json_str(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    out.push('"');
     for c in text.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -29,6 +32,7 @@ fn escape(text: &str) -> String {
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
@@ -41,9 +45,9 @@ fn render_event(event: &Event, out: &mut String) {
         Phase::Counter => "C",
     };
     out.push_str(&format!(
-        "{{\"ph\":\"{ph}\",\"name\":\"{}\",\"cat\":\"{}\",\"pid\":1,\"tid\":1,\"ts\":{}",
-        escape(event.name),
-        escape(event.cat),
+        "{{\"ph\":\"{ph}\",\"name\":{},\"cat\":{},\"pid\":1,\"tid\":1,\"ts\":{}",
+        json_str(event.name),
+        json_str(event.cat),
         event.ts_us
     ));
     match event.phase {
@@ -69,7 +73,7 @@ fn render_event(event: &Event, out: &mut String) {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{}", escape(key), value));
+            out.push_str(&format!("{}:{}", json_str(key), value));
         }
         out.push('}');
     }
@@ -95,8 +99,8 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
 pub fn flight_dump_json(dump: &FlightDump) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     out.push_str(&format!(
-        "{{\"ph\":\"i\",\"name\":\"flight-dump:{}\",\"cat\":\"flight\",\"pid\":1,\"tid\":1,\"ts\":{},\"s\":\"g\"",
-        escape(dump.reason),
+        "{{\"ph\":\"i\",\"name\":{},\"cat\":\"flight\",\"pid\":1,\"tid\":1,\"ts\":{},\"s\":\"g\"",
+        json_str(&format!("flight-dump:{}", dump.reason)),
         dump.events.last().map_or(0, |e| e.ts_us)
     ));
     if !dump.args.is_empty() {
@@ -105,7 +109,7 @@ pub fn flight_dump_json(dump: &FlightDump) -> String {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{}", escape(key), value));
+            out.push_str(&format!("{}:{}", json_str(key), value));
         }
         out.push('}');
     }
@@ -253,6 +257,15 @@ mod tests {
         // real JSON parser over the exported file.
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());
+    }
+
+    #[test]
+    fn json_str_quotes_and_escapes() {
+        assert_eq!(json_str("fleet-zoo"), "\"fleet-zoo\"");
+        assert_eq!(
+            json_str("a\"b\\c\nd\re\tf\u{1}"),
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001\""
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl ShardedExecutor {
 
     /// Reusable per-stage scratch for [`ShardedExecutor::run_into`].
     pub fn arenas(&self) -> Vec<ExecArena> {
-        self.stages.iter().map(Executor::arena).collect()
+        self.stages.iter().map(|_| ExecArena::new()).collect()
     }
 
     /// Execute one sample through every stage, returning the final logits.

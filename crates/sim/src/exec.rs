@@ -29,10 +29,11 @@
 //! 3. [`Executor::run`] is a single dispatch loop over that stream — no
 //!    per-element op dispatch, no hash lookups, no shape math — with
 //!    run-time skipping of exactly-zero activations. Outputs are
-//!    bit-identical to the retired interpreter (kept behind the
-//!    `shadow-interp` feature purely as the differential cross-check —
-//!    see [`Executor::run_checked`]): per-accumulator f64/i64 term order is
-//!    preserved, and sparsity only removes terms that are exactly zero.
+//!    bit-identical to the reference tile-program interpreter (its own
+//!    always-built module, `crate::interp`, used only as the differential
+//!    oracle — see [`Executor::run_checked`]): per-accumulator f64/i64 term
+//!    order is preserved, and sparsity only removes terms that are exactly
+//!    zero.
 //! 4. Batches fan out sample-parallel over rayon ([`Executor::run_batch`]).
 //!    All weight realization (including noise) happens at bind time, so
 //!    execution is pure and results are bit-identical for any thread count
@@ -62,15 +63,12 @@
 //!   pe_index(group, duplicate))`).
 
 use crate::bytecode::{LowerStats, Lowered, Region};
+use crate::interp::InterpPlan;
 use crate::lower::{self, LowerCtx};
 use fpsa_device::variation::{CellVariation, WeightScheme};
 use fpsa_mapper::{Mapping, NetlistBlock};
-#[cfg(feature = "shadow-interp")]
-use fpsa_nn::quant::rescale_code;
 use fpsa_nn::quant::{quantize_code, Quantizer};
 use fpsa_nn::reference::{self, InputView, QuantizationPlan};
-#[cfg(feature = "shadow-interp")]
-use fpsa_nn::reference::{pooled_window_real, requantize_mac};
 use fpsa_nn::seeds;
 use fpsa_nn::{ComputationalGraph, GraphParameters, NnError, NodeId, Operator, TensorShape};
 use fpsa_obs::{SpanId, Tracer};
@@ -163,7 +161,7 @@ impl From<NnError> for ExecError {
     }
 }
 
-fn mismatch(reason: impl Into<String>) -> ExecError {
+pub(crate) fn mismatch(reason: impl Into<String>) -> ExecError {
     ExecError::ModelMismatch {
         reason: reason.into(),
     }
@@ -220,6 +218,21 @@ pub(crate) enum ProgramKind {
     Eltwise(Vec<InputView>),
 }
 
+impl ProgramKind {
+    /// Whether tiles of this kind read the node's gathered logical input
+    /// view (the other kinds read partials or per-side element-wise views).
+    pub(crate) fn needs_gather(&self) -> bool {
+        matches!(
+            self,
+            ProgramKind::Dense
+                | ProgramKind::Conv(_)
+                | ProgramKind::AvgPool(_)
+                | ProgramKind::GlobalAvgPool { .. }
+                | ProgramKind::MaxStage1(_)
+        )
+    }
+}
+
 /// One bound, executable tile.
 #[derive(Debug, Clone)]
 pub(crate) struct TileProgram {
@@ -260,54 +273,6 @@ pub(crate) struct NodeInfo {
     pub weight_step: f64,
 }
 
-/// An epoch-stamped buffer pool: one growable buffer per slot, with validity
-/// tracked per execution epoch. Interpreter-only — the bytecode path replaced
-/// per-buffer bookkeeping with two flat slabs whose layout lowering fixed.
-#[cfg(feature = "shadow-interp")]
-#[derive(Debug, Default)]
-struct Slab<T> {
-    bufs: Vec<Vec<T>>,
-    stamp: Vec<u64>,
-}
-
-#[cfg(feature = "shadow-interp")]
-impl<T: Copy + Default> Slab<T> {
-    fn ensure(&mut self, slots: usize) {
-        if self.bufs.len() < slots {
-            self.bufs.resize_with(slots, Vec::new);
-            self.stamp.resize(slots, 0);
-        }
-    }
-
-    /// Claim a slot for `epoch` as an empty buffer (capacity retained).
-    fn claim(&mut self, slot: usize, epoch: u64) -> &mut Vec<T> {
-        self.stamp[slot] = epoch;
-        let buf = &mut self.bufs[slot];
-        buf.clear();
-        buf
-    }
-
-    /// Claim a slot for `epoch`, zero-filled to `len`.
-    fn claim_zeroed(&mut self, slot: usize, len: usize, epoch: u64) {
-        let buf = self.claim(slot, epoch);
-        buf.resize(len, T::default());
-    }
-
-    /// Whether the slot was written during `epoch`.
-    fn live(&self, slot: usize, epoch: u64) -> bool {
-        self.stamp.get(slot).copied() == Some(epoch)
-    }
-
-    fn get(&self, slot: usize, epoch: u64) -> Option<&[T]> {
-        self.live(slot, epoch).then(|| self.bufs[slot].as_slice())
-    }
-
-    fn get_mut(&mut self, slot: usize, epoch: u64) -> Option<&mut [T]> {
-        self.live(slot, epoch)
-            .then(|| self.bufs[slot].as_mut_slice())
-    }
-}
-
 /// Reusable execution scratch for one executor replica.
 ///
 /// The bytecode executor needs exactly two flat slabs per numeric domain —
@@ -326,37 +291,15 @@ impl<T: Copy + Default> Slab<T> {
 #[derive(Debug, Default)]
 pub struct ExecArena {
     /// Bytecode value slab, float domains.
-    val_f: Vec<f32>,
+    pub(crate) val_f: Vec<f32>,
     /// Bytecode partial slab, float domains.
     part_f: Vec<f64>,
     /// Bytecode value slab, integer domain.
-    val_i: Vec<i64>,
+    pub(crate) val_i: Vec<i64>,
     /// Bytecode partial slab, integer domain.
     part_i: Vec<i64>,
     /// Kernel scratch: per-position row lists + output accumulator rows.
     mac: crate::bytecode::MacScratch,
-    #[cfg(feature = "shadow-interp")]
-    epoch: u64,
-    #[cfg(feature = "shadow-interp")]
-    node_f: Slab<f32>,
-    #[cfg(feature = "shadow-interp")]
-    gather_f: Slab<f32>,
-    #[cfg(feature = "shadow-interp")]
-    partial_f: Slab<f64>,
-    #[cfg(feature = "shadow-interp")]
-    node_i: Slab<i64>,
-    #[cfg(feature = "shadow-interp")]
-    gather_i: Slab<i64>,
-    #[cfg(feature = "shadow-interp")]
-    partial_i: Slab<i64>,
-    #[cfg(feature = "shadow-interp")]
-    acc_f: Vec<f64>,
-    #[cfg(feature = "shadow-interp")]
-    acc_i: Vec<i64>,
-    #[cfg(feature = "shadow-interp")]
-    eltwise_f: Vec<Vec<f32>>,
-    #[cfg(feature = "shadow-interp")]
-    eltwise_i: Vec<Vec<i64>>,
 }
 
 impl ExecArena {
@@ -382,27 +325,18 @@ fn grab<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
 /// The compiled-model executor: bound tile programs lowered to bytecode.
 #[derive(Debug)]
 pub struct Executor {
-    programs: Vec<TileProgram>,
-    #[cfg(feature = "shadow-interp")]
-    nodes: Vec<Option<NodeInfo>>,
-    graph_len: usize,
-    #[cfg(feature = "shadow-interp")]
-    group_count: usize,
+    pub(crate) programs: Vec<TileProgram>,
+    pub(crate) graph_len: usize,
     input: Option<(NodeId, usize)>,
-    #[cfg(feature = "shadow-interp")]
-    output_view: InputView,
-    #[cfg(feature = "shadow-interp")]
-    output_steps: Vec<f64>,
-    precision_integer: bool,
-    activation_levels: i64,
-    node_steps: Vec<f64>,
-    /// Widest tile output row (sizes the shadow arena's accumulator row).
-    #[cfg(feature = "shadow-interp")]
-    max_cols: usize,
+    pub(crate) precision_integer: bool,
+    pub(crate) activation_levels: i64,
+    pub(crate) node_steps: Vec<f64>,
     /// The lowered bytecode artifact every run dispatches over.
-    lowered: Lowered,
+    pub(crate) lowered: Lowered,
     /// Output segments: value-slab region + integer dequantization step.
     out_regions: Vec<(Region, f64)>,
+    /// The reference interpreter's bind-time state ([`crate::interp`]).
+    pub(crate) interp: InterpPlan,
 }
 
 impl Executor {
@@ -870,8 +804,6 @@ impl Executor {
             None => (vec![1.0; output_view.len()], vec![1.0; graph.len()], 0),
         };
 
-        #[cfg(feature = "shadow-interp")]
-        let max_cols = programs.iter().map(|p| p.cols).max().unwrap_or(0);
         // Lower the bound programs into the bytecode stream the runs
         // dispatch over (see `crate::lower`); the weight slabs move into the
         // lowered artifact.
@@ -897,25 +829,23 @@ impl Executor {
                     .ok_or_else(|| mismatch("output node never executed"))
             })
             .collect::<Result<Vec<_>, _>>()?;
+        let interp = InterpPlan {
+            max_cols: programs.iter().map(|p| p.cols).max().unwrap_or(0),
+            nodes,
+            group_count: core.len(),
+            output_view,
+            output_steps,
+        };
         Ok(Executor {
             programs,
-            #[cfg(feature = "shadow-interp")]
-            nodes,
             graph_len: graph.len(),
-            #[cfg(feature = "shadow-interp")]
-            group_count: core.len(),
             input: Some(input),
-            #[cfg(feature = "shadow-interp")]
-            output_view,
-            #[cfg(feature = "shadow-interp")]
-            output_steps,
             precision_integer: plan.is_some(),
             activation_levels,
             node_steps,
-            #[cfg(feature = "shadow-interp")]
-            max_cols,
             lowered,
             out_regions,
+            interp,
         })
     }
 
@@ -948,11 +878,6 @@ impl Executor {
     /// structural sparsity skips, view aliasing, and flat slab sizes.
     pub fn lowering_stats(&self) -> &LowerStats {
         &self.lowered.stats
-    }
-
-    /// A fresh scratch arena sized for this executor (see [`ExecArena`]).
-    pub fn arena(&self) -> ExecArena {
-        ExecArena::new()
     }
 
     /// The element count the graph's input node expects.
@@ -1229,137 +1154,6 @@ impl Executor {
         }
     }
 
-    /// Execute one sample on the retired interpreter (the shadow reference
-    /// the bytecode stream is differentially checked against).
-    ///
-    /// # Errors
-    ///
-    /// Mirrors [`Executor::run`].
-    #[cfg(feature = "shadow-interp")]
-    pub fn run_interpreted(&self, input: &[f32]) -> Result<Vec<f32>, ExecError> {
-        let mut out = Vec::new();
-        self.run_interpreted_into(input, &mut ExecArena::new(), &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Executor::run_interpreted`] with a caller-owned arena: the
-    /// interpreter exactly as the pre-bytecode `run_into` hot path ran it,
-    /// bind- and allocation-amortized. This is the baseline the forward-pass
-    /// speedup bench measures the bytecode stream against.
-    ///
-    /// # Errors
-    ///
-    /// Same surface as [`Executor::run_into`].
-    #[cfg(feature = "shadow-interp")]
-    pub fn run_interpreted_into(
-        &self,
-        input: &[f32],
-        arena: &mut ExecArena,
-        out: &mut Vec<f32>,
-    ) -> Result<(), ExecError> {
-        out.clear();
-        if self.precision_integer {
-            self.run_integer_arena(input, arena)?;
-        } else {
-            self.run_float_arena(input, arena)?;
-        }
-        out.extend_from_slice(&self.interpreted_output(arena)?);
-        Ok(())
-    }
-
-    /// Gather the interpreter arena's output nodes (dequantized in the
-    /// integer domain) — the pre-bytecode `run_into` extraction.
-    #[cfg(feature = "shadow-interp")]
-    fn interpreted_output(&self, arena: &ExecArena) -> Result<Vec<f32>, ExecError> {
-        let mut out = Vec::new();
-        if self.precision_integer {
-            for (segment, &step) in self.output_view.iter().zip(&self.output_steps) {
-                let codes = arena
-                    .node_i
-                    .get(segment.source, arena.epoch)
-                    .ok_or_else(|| mismatch("output node never executed"))?;
-                out.extend(codes.iter().map(|&c| (c as f64 * step) as f32));
-            }
-        } else {
-            for segment in &self.output_view {
-                out.extend_from_slice(
-                    arena
-                        .node_f
-                        .get(segment.source, arena.epoch)
-                        .ok_or_else(|| mismatch("output node never executed"))?,
-                );
-            }
-        }
-        Ok(out)
-    }
-
-    /// Execute one sample on **both** the bytecode stream and the shadow
-    /// interpreter, asserting bit-identical activations for every lowered
-    /// node (`f32` bit patterns / `i64` codes) and bit-identical outputs,
-    /// then return the bytecode output. This is the differential suite's
-    /// cross-check: it is what lets the repo keep exactly one production
-    /// executor.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any node buffer or output diverges — a lowering bug.
-    ///
-    /// # Errors
-    ///
-    /// Mirrors [`Executor::run`].
-    #[cfg(feature = "shadow-interp")]
-    pub fn run_checked(&self, input: &[f32]) -> Result<Vec<f32>, ExecError> {
-        let mut bc = ExecArena::new();
-        let mut shadow = ExecArena::new();
-        if self.precision_integer {
-            self.run_integer_bc(input, &mut bc)?;
-            self.run_integer_arena(input, &mut shadow)?;
-            for node in 0..self.graph_len {
-                let Some(region) = self.lowered.node_regions[node] else {
-                    continue;
-                };
-                let got = &bc.val_i[region.range()];
-                let want = shadow
-                    .node_i
-                    .get(node, shadow.epoch)
-                    .ok_or_else(|| mismatch("interpreter skipped a lowered node"))?;
-                assert_eq!(
-                    got, want,
-                    "bytecode diverged from the interpreter at node {node}"
-                );
-            }
-        } else {
-            self.run_float_bc(input, &mut bc)?;
-            self.run_float_arena(input, &mut shadow)?;
-            for node in 0..self.graph_len {
-                let Some(region) = self.lowered.node_regions[node] else {
-                    continue;
-                };
-                let got = &bc.val_f[region.range()];
-                let want = shadow
-                    .node_f
-                    .get(node, shadow.epoch)
-                    .ok_or_else(|| mismatch("interpreter skipped a lowered node"))?;
-                assert_eq!(got.len(), want.len(), "node {node} length diverged");
-                for (i, (g, w)) in got.iter().zip(want).enumerate() {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "bytecode diverged from the interpreter at node {node}[{i}]: {g} vs {w}"
-                    );
-                }
-            }
-        }
-        let mut out = Vec::new();
-        self.extract_output(&bc, &mut out);
-        let interpreted = self.interpreted_output(&shadow)?;
-        assert_eq!(out.len(), interpreted.len(), "output length diverged");
-        for (i, (g, w)) in out.iter().zip(&interpreted).enumerate() {
-            assert_eq!(g.to_bits(), w.to_bits(), "output[{i}] diverged: {g} vs {w}");
-        }
-        Ok(out)
-    }
-
     /// Execute a batch of samples in parallel (rayon), preserving order.
     /// Weight noise is realized at bind time and per-sample execution is
     /// pure, so results are bit-identical to running samples sequentially,
@@ -1392,452 +1186,8 @@ impl Executor {
         Ok(correct as f64 / samples.len() as f64)
     }
 
-    /// Float-domain execution of all tile programs in schedule order, into
-    /// the arena's epoch-stamped buffers.
-    ///
-    /// The Dense/Conv inner loops run column-major over the accumulator row
-    /// (`for r { for c { acc[c] += w[r][c] * x[r] } }`): each output's f64
-    /// accumulator still receives its terms in exactly the same `r` order as
-    /// the classic `for c { for r { .. } }` nesting, so results are
-    /// bit-identical — but the weight matrix is now read contiguously, which
-    /// is what makes the serving hot path fast.
-    #[cfg(feature = "shadow-interp")]
-    fn run_float_arena(&self, input: &[f32], arena: &mut ExecArena) -> Result<(), ExecError> {
-        arena.epoch += 1;
-        let epoch = arena.epoch;
-        let ExecArena {
-            node_f,
-            gather_f,
-            partial_f,
-            acc_f,
-            eltwise_f,
-            ..
-        } = arena;
-        node_f.ensure(self.graph_len);
-        gather_f.ensure(self.graph_len);
-        partial_f.ensure(self.group_count);
-        acc_f.resize(self.max_cols, 0.0);
-
-        let in_node = self.checked_input_node(input)?;
-        node_f.claim(in_node, epoch).extend_from_slice(input);
-
-        for prog in &self.programs {
-            let info = self.nodes[prog.node].as_ref().expect("bound node info");
-            if needs_gather(&prog.kind) && !gather_f.live(prog.node, epoch) {
-                let dst = gather_f.claim(prog.node, epoch);
-                dst.reserve(info.view.iter().map(|s| s.elements).sum());
-                for segment in &info.view {
-                    dst.extend_from_slice(
-                        node_f
-                            .get(segment.source, epoch)
-                            .ok_or_else(|| mismatch("producer executed after consumer"))?,
-                    );
-                }
-            }
-            let positions = prog.positions;
-            if prog.writes_output {
-                if !node_f.live(prog.node, epoch) {
-                    node_f.claim_zeroed(prog.node, info.elements, epoch);
-                }
-            } else {
-                partial_f.claim_zeroed(prog.group, positions * prog.cols, epoch);
-            }
-            // Element-wise tiles read each Add side once per program.
-            if let ProgramKind::Eltwise(views) = &prog.kind {
-                if eltwise_f.len() < views.len() {
-                    eltwise_f.resize_with(views.len(), Vec::new);
-                }
-                for (side, view) in eltwise_f.iter_mut().zip(views) {
-                    side.clear();
-                    for segment in view {
-                        side.extend_from_slice(
-                            node_f
-                                .get(segment.source, epoch)
-                                .ok_or_else(|| mismatch("producer executed after consumer"))?,
-                        );
-                    }
-                }
-            }
-
-            let acc = &mut acc_f[..prog.cols];
-            for p in 0..positions {
-                match &prog.kind {
-                    ProgramKind::Dense => {
-                        let x = gather_f.get(prog.node, epoch).expect("gathered input");
-                        let w = self.interp_weights(prog, p);
-                        acc.fill(0.0);
-                        for r in 0..prog.rows {
-                            let xv = f64::from(x[prog.row_offset + r]);
-                            let row = &w[r * prog.cols..(r + 1) * prog.cols];
-                            for (a, &wv) in acc.iter_mut().zip(row) {
-                                *a += f64::from(wv) * xv;
-                            }
-                        }
-                    }
-                    ProgramKind::Conv(geom) => {
-                        let x = gather_f.get(prog.node, epoch).expect("gathered input");
-                        let w = self.interp_weights(prog, p);
-                        let (oy, ox) = (p / out_w(geom), p % out_w(geom));
-                        acc.fill(0.0);
-                        for r in 0..prog.rows {
-                            if let Some(idx) = conv_input_index(geom, prog.row_offset + r, oy, ox) {
-                                let xv = f64::from(x[idx]);
-                                let row = &w[r * prog.cols..(r + 1) * prog.cols];
-                                for (a, &wv) in acc.iter_mut().zip(row) {
-                                    *a += f64::from(wv) * xv;
-                                }
-                            }
-                        }
-                    }
-                    ProgramKind::Reduce(sources) => {
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            let mut sum = 0.0f64;
-                            for &(pred, pred_cols, slice) in sources {
-                                sum += partial_f.get(pred, epoch).ok_or_else(|| {
-                                    mismatch("reduction ran before its partial tiles")
-                                })?[p * pred_cols + slice + c];
-                            }
-                            *a = sum;
-                        }
-                    }
-                    ProgramKind::AvgPool(geom) => {
-                        let x = gather_f.get(prog.node, epoch).expect("gathered input");
-                        let ow = out_w_pool(geom);
-                        let (oy, ox) = (p / ow, p % ow);
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            let channel = prog.col_offset + c;
-                            let mut sum = 0.0f64;
-                            for ky in 0..geom.kernel {
-                                for kx in 0..geom.kernel {
-                                    sum += f64::from(
-                                        x[channel * geom.ih * geom.iw
-                                            + (oy * geom.stride + ky) * geom.iw
-                                            + ox * geom.stride
-                                            + kx],
-                                    );
-                                }
-                            }
-                            *a = sum / (geom.kernel * geom.kernel) as f64;
-                        }
-                    }
-                    ProgramKind::GlobalAvgPool { window } => {
-                        let x = gather_f.get(prog.node, epoch).expect("gathered input");
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            let channel = prog.col_offset + c;
-                            let sum: f64 = (0..*window)
-                                .map(|i| f64::from(x[channel * window + i]))
-                                .sum();
-                            *a = sum / *window as f64;
-                        }
-                    }
-                    ProgramKind::MaxStage1(geom) => {
-                        let x = gather_f.get(prog.node, epoch).expect("gathered input");
-                        let ow = out_w_pool(geom);
-                        let (oy, ox) = (p / ow, p % ow);
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            let channel = prog.col_offset + c;
-                            let mut max = f64::NEG_INFINITY;
-                            for ky in 0..geom.kernel {
-                                for kx in 0..geom.kernel {
-                                    max = max.max(f64::from(
-                                        x[channel * geom.ih * geom.iw
-                                            + (oy * geom.stride + ky) * geom.iw
-                                            + ox * geom.stride
-                                            + kx],
-                                    ));
-                                }
-                            }
-                            *a = max;
-                        }
-                    }
-                    ProgramKind::MaxStage2 { source } => {
-                        let stage1 = partial_f
-                            .get(*source, epoch)
-                            .ok_or_else(|| mismatch("max-pool stage 2 ran before stage 1"))?;
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            *a = stage1[p * prog.cols + c];
-                        }
-                    }
-                    ProgramKind::Eltwise(views) => {
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            let channel = prog.col_offset + c;
-                            let mut sum = 0.0f64;
-                            for x in &eltwise_f[..views.len()] {
-                                sum += f64::from(x[channel * positions + p]);
-                            }
-                            *a = sum;
-                        }
-                    }
-                }
-                // Scatter the accumulator row (fused ReLU at output
-                // boundaries), exactly like the pre-arena store path.
-                if prog.writes_output {
-                    let buf = node_f.get_mut(prog.node, epoch).expect("allocated output");
-                    for (c, &a) in acc.iter().enumerate() {
-                        let a = if prog.relu { a.max(0.0) } else { a };
-                        buf[(prog.col_offset + c) * positions + p] = a as f32;
-                    }
-                } else {
-                    let out = partial_f
-                        .get_mut(prog.group, epoch)
-                        .expect("allocated partial");
-                    for (c, &a) in acc.iter().enumerate() {
-                        out[p * prog.cols + c] = a;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Integer-domain execution (see module docs; bit-for-bit against the
-    /// quantized reference), into the arena's epoch-stamped buffers.
-    #[cfg(feature = "shadow-interp")]
-    fn run_integer_arena(&self, input: &[f32], arena: &mut ExecArena) -> Result<(), ExecError> {
-        let alevels = self.activation_levels;
-        arena.epoch += 1;
-        let epoch = arena.epoch;
-        let ExecArena {
-            node_i,
-            gather_i,
-            partial_i,
-            acc_i,
-            eltwise_i,
-            ..
-        } = arena;
-        node_i.ensure(self.graph_len);
-        gather_i.ensure(self.graph_len);
-        partial_i.ensure(self.group_count);
-        acc_i.resize(self.max_cols, 0);
-
-        let in_node = self.checked_input_node(input)?;
-        let step = self.node_steps[in_node];
-        let buf = node_i.claim(in_node, epoch);
-        buf.extend(
-            input
-                .iter()
-                .map(|&v| quantize_code(f64::from(v), step, alevels)),
-        );
-
-        for prog in &self.programs {
-            let info = self.nodes[prog.node].as_ref().expect("bound node info");
-            if needs_gather(&prog.kind) && !gather_i.live(prog.node, epoch) {
-                // Gather the node's logical input codes at the view's gather
-                // step — exactly the reference's rule.
-                let dst = gather_i.claim(prog.node, epoch);
-                for segment in &info.view {
-                    let step = self.node_steps[segment.source];
-                    let codes = node_i
-                        .get(segment.source, epoch)
-                        .ok_or_else(|| mismatch("producer executed after consumer"))?;
-                    dst.extend(
-                        codes
-                            .iter()
-                            .map(|&c| rescale_code(c, step, info.gather_step, alevels)),
-                    );
-                }
-            }
-            let positions = prog.positions;
-            if prog.writes_output {
-                if !node_i.live(prog.node, epoch) {
-                    node_i.claim_zeroed(prog.node, info.elements, epoch);
-                }
-            } else {
-                partial_i.claim_zeroed(prog.group, positions * prog.cols, epoch);
-            }
-            // Element-wise tiles: gather each Add side once, already
-            // rescaled from the side's own gather step to the node's —
-            // the reference's exact double-rescale composition.
-            if let ProgramKind::Eltwise(views) = &prog.kind {
-                if eltwise_i.len() < views.len() {
-                    eltwise_i.resize_with(views.len(), Vec::new);
-                }
-                for (side, view) in eltwise_i.iter_mut().zip(views) {
-                    side.clear();
-                    let sstep = side_gather_step(&self.node_steps, view);
-                    for segment in view {
-                        let step = self.node_steps[segment.source];
-                        let codes = node_i
-                            .get(segment.source, epoch)
-                            .ok_or_else(|| mismatch("producer executed after consumer"))?;
-                        side.extend(codes.iter().map(|&c| {
-                            let gathered = rescale_code(c, step, sstep, alevels);
-                            rescale_code(gathered, sstep, info.gather_step, alevels)
-                        }));
-                    }
-                }
-            }
-
-            // MAC-producing tiles requantize on store; the other kinds
-            // compute their final code (or raw partial value) directly.
-            let mac_store = matches!(
-                prog.kind,
-                ProgramKind::Dense | ProgramKind::Conv(_) | ProgramKind::Reduce(_)
-            );
-            let acc = &mut acc_i[..prog.cols];
-            for p in 0..positions {
-                match &prog.kind {
-                    ProgramKind::Dense => {
-                        let x = gather_i.get(prog.node, epoch).expect("gathered input");
-                        let wq = self.interp_weights_q(prog);
-                        acc.fill(0);
-                        for r in 0..prog.rows {
-                            let xv = x[prog.row_offset + r];
-                            let row = &wq[r * prog.cols..(r + 1) * prog.cols];
-                            for (a, &wv) in acc.iter_mut().zip(row) {
-                                *a += wv * xv;
-                            }
-                        }
-                    }
-                    ProgramKind::Conv(geom) => {
-                        let x = gather_i.get(prog.node, epoch).expect("gathered input");
-                        let wq = self.interp_weights_q(prog);
-                        let (oy, ox) = (p / out_w(geom), p % out_w(geom));
-                        acc.fill(0);
-                        for r in 0..prog.rows {
-                            if let Some(idx) = conv_input_index(geom, prog.row_offset + r, oy, ox) {
-                                let xv = x[idx];
-                                let row = &wq[r * prog.cols..(r + 1) * prog.cols];
-                                for (a, &wv) in acc.iter_mut().zip(row) {
-                                    *a += wv * xv;
-                                }
-                            }
-                        }
-                    }
-                    ProgramKind::Reduce(sources) => {
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            let mut sum = 0i64;
-                            for &(pred, pred_cols, slice) in sources {
-                                sum += partial_i.get(pred, epoch).ok_or_else(|| {
-                                    mismatch("reduction ran before its partial tiles")
-                                })?[p * pred_cols + slice + c];
-                            }
-                            *a = sum;
-                        }
-                    }
-                    ProgramKind::AvgPool(geom) => {
-                        let x = gather_i.get(prog.node, epoch).expect("gathered input");
-                        let ow = out_w_pool(geom);
-                        let (oy, ox) = (p / ow, p % ow);
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            let channel = prog.col_offset + c;
-                            let real = pooled_window_real(
-                                x,
-                                channel,
-                                oy,
-                                ox,
-                                geom.kernel,
-                                geom.stride,
-                                geom.ih,
-                                geom.iw,
-                                info.gather_step,
-                                false,
-                            );
-                            *a = quantize_code(real, info.out_step, alevels);
-                        }
-                    }
-                    ProgramKind::GlobalAvgPool { window } => {
-                        let x = gather_i.get(prog.node, epoch).expect("gathered input");
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            let channel = prog.col_offset + c;
-                            let sum: i64 = (0..*window).map(|i| x[channel * window + i]).sum();
-                            let real = sum as f64 * info.gather_step / *window as f64;
-                            *a = quantize_code(real, info.out_step, alevels);
-                        }
-                    }
-                    ProgramKind::MaxStage1(geom) => {
-                        let x = gather_i.get(prog.node, epoch).expect("gathered input");
-                        let ow = out_w_pool(geom);
-                        let (oy, ox) = (p / ow, p % ow);
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            let channel = prog.col_offset + c;
-                            let mut max = i64::MIN;
-                            for ky in 0..geom.kernel {
-                                for kx in 0..geom.kernel {
-                                    max = max.max(
-                                        x[channel * geom.ih * geom.iw
-                                            + (oy * geom.stride + ky) * geom.iw
-                                            + ox * geom.stride
-                                            + kx],
-                                    );
-                                }
-                            }
-                            *a = max;
-                        }
-                    }
-                    ProgramKind::MaxStage2 { source } => {
-                        let stage1 = partial_i
-                            .get(*source, epoch)
-                            .ok_or_else(|| mismatch("max-pool stage 2 ran before stage 1"))?;
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            // Identical composition to the reference's
-                            // max-pool path: real value, then requantize.
-                            let real = stage1[p * prog.cols + c] as f64 * info.gather_step;
-                            *a = quantize_code(real, info.out_step, alevels);
-                        }
-                    }
-                    ProgramKind::Eltwise(views) => {
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            let channel = prog.col_offset + c;
-                            let mut sum = 0i64;
-                            for x in &eltwise_i[..views.len()] {
-                                sum += x[channel * positions + p];
-                            }
-                            let sum = if prog.relu { sum.max(0) } else { sum };
-                            *a = rescale_code(sum, info.gather_step, info.out_step, alevels);
-                        }
-                    }
-                }
-                if prog.writes_output {
-                    let buf = node_i.get_mut(prog.node, epoch).expect("allocated output");
-                    for (c, &a) in acc.iter().enumerate() {
-                        let code = if mac_store {
-                            requantize_mac(
-                                a,
-                                info.weight_step,
-                                info.gather_step,
-                                prog.relu,
-                                info.out_step,
-                                alevels,
-                            )
-                        } else {
-                            a
-                        };
-                        buf[(prog.col_offset + c) * positions + p] = code;
-                    }
-                } else {
-                    // Partial tiles keep the raw accumulation (MAC partials
-                    // awaiting a reduction, stage-1 window maxima).
-                    let out = partial_i
-                        .get_mut(prog.group, epoch)
-                        .expect("allocated partial");
-                    for (c, &a) in acc.iter().enumerate() {
-                        out[p * prog.cols + c] = a;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The float weight matrix instance `i` of a tile executes on (the
-    /// interpreter's per-position duplicate selection, reading the slab).
-    #[cfg(feature = "shadow-interp")]
-    fn interp_weights(&self, prog: &TileProgram, instance: usize) -> &[f32] {
-        let dup = (instance as u64 % prog.duplicates) as usize;
-        let (off, len) = prog.w_f[dup % prog.w_f.len()];
-        &self.lowered.wslab_f[off as usize..(off + len) as usize]
-    }
-
-    /// A tile's integer weight codes (shared across duplicates).
-    #[cfg(feature = "shadow-interp")]
-    fn interp_weights_q(&self, prog: &TileProgram) -> &[i64] {
-        let (off, len) = prog.w_q;
-        &self.lowered.wslab_q[off as usize..(off + len) as usize]
-    }
-
     /// The graph's single input node, after validating the sample length.
-    fn checked_input_node(&self, input: &[f32]) -> Result<NodeId, ExecError> {
+    pub(crate) fn checked_input_node(&self, input: &[f32]) -> Result<NodeId, ExecError> {
         let (node, len) = self.input_node()?;
         if input.len() != len {
             return Err(mismatch(format!(
@@ -1856,47 +1206,6 @@ impl Executor {
         self.input
             .ok_or_else(|| mismatch("graph has no input node"))
     }
-}
-
-/// Views gather the node's logical input for these kinds.
-#[cfg(feature = "shadow-interp")]
-fn needs_gather(kind: &ProgramKind) -> bool {
-    matches!(
-        kind,
-        ProgramKind::Dense
-            | ProgramKind::Conv(_)
-            | ProgramKind::AvgPool(_)
-            | ProgramKind::GlobalAvgPool { .. }
-            | ProgramKind::MaxStage1(_)
-    )
-}
-
-/// Output width of a convolution node (positions are row-major `oy * ow + ox`).
-#[cfg(feature = "shadow-interp")]
-fn out_w(geom: &ConvGeom) -> usize {
-    (geom.iw + 2 * geom.padding - geom.kernel) / geom.stride + 1
-}
-
-/// Output width of a pooling node.
-#[cfg(feature = "shadow-interp")]
-fn out_w_pool(geom: &PoolGeom) -> usize {
-    (geom.iw - geom.kernel) / geom.stride + 1
-}
-
-/// The im2col input index of one (absolute row, output position), or `None`
-/// for zero padding. Rows are `(channel * k + ky) * k + kx`.
-#[cfg(feature = "shadow-interp")]
-fn conv_input_index(geom: &ConvGeom, row: usize, oy: usize, ox: usize) -> Option<usize> {
-    let k = geom.kernel;
-    let channel = row / (k * k);
-    let rem = row % (k * k);
-    let (ky, kx) = (rem / k, rem % k);
-    let y = (oy * geom.stride + ky) as isize - geom.padding as isize;
-    let x = (ox * geom.stride + kx) as isize - geom.padding as isize;
-    if y < 0 || x < 0 || y >= geom.ih as isize || x >= geom.iw as isize {
-        return None;
-    }
-    Some(channel * geom.ih * geom.iw + y as usize * geom.iw + x as usize)
 }
 
 /// The gather step of one Add side's view — mirrors
@@ -2241,7 +1550,7 @@ mod tests {
         let inputs = samples(&graph, 6);
         for precision in reuse_precisions(&graph, &inputs) {
             let bound_once = Executor::bind(&graph, &params, &core, &mapping, &precision).unwrap();
-            let mut arena = bound_once.arena();
+            let mut arena = ExecArena::new();
             let mut outputs = Vec::new();
             // Batches of varying size and content, revisiting samples so a
             // stale buffer from a previous batch would be caught.
@@ -2293,7 +1602,7 @@ mod tests {
         let params = GraphParameters::seeded(&graph, 5);
         let (core, mapping) = compile(&graph, 1);
         let exec = Executor::bind(&graph, &params, &core, &mapping, &Precision::Float).unwrap();
-        let mut arena = exec.arena();
+        let mut arena = ExecArena::new();
         let mut outputs = Vec::new();
         let good = samples(&graph, 3);
         exec.run_batch_into(&good, &mut arena, &mut outputs)
@@ -2316,7 +1625,7 @@ mod tests {
         let params = GraphParameters::seeded(&graph, 5);
         let (core, mapping) = compile(&graph, 1);
         let exec = Executor::bind(&graph, &params, &core, &mapping, &Precision::Float).unwrap();
-        let mut arena = exec.arena();
+        let mut arena = ExecArena::new();
         let mut out = vec![1.0f32];
         let err = exec.run_into(&[0.0; 3], &mut arena, &mut out).unwrap_err();
         assert!(matches!(err, ExecError::ModelMismatch { .. }), "{err}");

@@ -18,9 +18,10 @@
 //!   sparsity skipping and precomputed arena demand, then executes samples
 //!   with a single dispatch loop in float, integer-exact or noisy-device
 //!   precision — the numeric proof that compilation preserves semantics,
-//!   fast enough to sit under the serving and sharding engines. The retired
-//!   interpreter survives behind the default `shadow-interp` feature purely
-//!   as the differential cross-check (`Executor::run_checked`).
+//!   fast enough to sit under the serving and sharding engines. The
+//!   reference tile-program interpreter lives in its own always-built
+//!   private module (`interp`, scratch in [`InterpArena`]) purely as the
+//!   differential oracle (`Executor::run_checked`).
 //!
 //! The [`trace`] module carries compile-stage instrumentation: the compiler
 //! in `fpsa-core` fills a [`StageTrace`] per compilation and attaches it to
@@ -30,6 +31,7 @@
 mod bytecode;
 pub mod exec;
 pub mod functional;
+mod interp;
 mod kernels;
 mod lower;
 pub mod perf;
@@ -39,6 +41,7 @@ pub mod trace;
 pub use bytecode::LowerStats;
 pub use exec::{ExecArena, ExecError, Executor, Precision};
 pub use functional::{SpikingMlpRunner, VariationStudy};
+pub use interp::InterpArena;
 pub use perf::{CommunicationEstimate, PerformanceReport, PerformanceSimulator};
 pub use profile::{ProfileSnapshot, NUM_OPCODES, OPCODE_NAMES};
 pub use trace::{CacheInfo, CacheOutcome, StageKind, StageQuality, StageRecord, StageTrace};

@@ -169,7 +169,7 @@ impl<'a> LowerPass<'a> {
         // Resolve the node's gathered input view (first consumer only) or
         // this program's element-wise sides (re-resolved per program until
         // the sources are complete, like the interpreter re-gathers).
-        let gather = if needs_gather(&prog.kind) {
+        let gather = if prog.kind.needs_gather() {
             Some(self.resolve_gather(prog.node, info)?)
         } else {
             None
@@ -713,17 +713,4 @@ fn pool_loop(geom: &crate::exec::PoolGeom, cols: u32, positions: u32) -> PoolLoo
         iw: geom.iw as u32,
         chan: (geom.ih * geom.iw) as u32,
     }
-}
-
-/// Views gather the node's logical input for these kinds (mirror of the
-/// interpreter's rule).
-fn needs_gather(kind: &ProgramKind) -> bool {
-    matches!(
-        kind,
-        ProgramKind::Dense
-            | ProgramKind::Conv(_)
-            | ProgramKind::AvgPool(_)
-            | ProgramKind::GlobalAvgPool { .. }
-            | ProgramKind::MaxStage1(_)
-    )
 }

@@ -7,7 +7,7 @@
 use fpsa_mapper::{AllocationPolicy, Mapper};
 use fpsa_nn::params::mlp_graph;
 use fpsa_nn::GraphParameters;
-use fpsa_sim::{profile, Executor, Precision};
+use fpsa_sim::{profile, ExecArena, Executor, Precision};
 use fpsa_synthesis::{NeuralSynthesizer, SynthesisConfig};
 
 #[test]
@@ -61,7 +61,7 @@ fn profiling_counts_retires_and_sparsity_skips() {
     profile::reset();
     profile::set_sampling(true);
     let inputs = vec![input.clone(); 4];
-    let mut arena = exec.arena();
+    let mut arena = ExecArena::new();
     let mut outputs = Vec::new();
     exec.run_batch_into(&inputs, &mut arena, &mut outputs)
         .unwrap();

@@ -12,6 +12,7 @@ use crate::phases::{PhasePlan, PhasedReplay, THROUGHPUT_TOLERANCE};
 use crate::scenario::Scenario;
 use crate::sim::VirtualReplay;
 use crate::trace::Trace;
+use fpsa_obs::export::json_str;
 
 /// One scenario's rendered artifacts.
 #[derive(Debug, Clone)]
@@ -31,24 +32,6 @@ pub fn json_f64(value: f64) -> String {
     } else {
         "0.0".to_string()
     }
-}
-
-/// Escape a string for a JSON literal (names come from scenario files).
-pub fn json_str(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Render one scenario's full-trace vs phase-sampled comparison.
